@@ -227,6 +227,10 @@ def _smallest_nonresidue(p: int) -> int:
 
 def cmd_verify(args) -> int:
     lines: list[str]
+    if args.suite in ("decomposition", "siegel") and args.max_det < 1:
+        return _fail_usage("--max-det must be at least 1")
+    if args.suite == "class-number" and args.dmax < 3:
+        return _fail_usage("--dmax must be at least 3")
     if args.suite == "decomposition":
         ok, lines = _verify_decomposition(args.max_det)
     elif args.suite == "siegel":
@@ -246,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="genus/class census for a determinant")
-    c.add_argument("--det", type=int)
-    c.add_argument("--det-range", type=str, default=None)
+    dets = c.add_mutually_exclusive_group(required=True)
+    dets.add_argument("--det", type=int)
+    dets.add_argument("--det-range", type=str)
     c.add_argument("--format", choices=("json", "csv"), default="json")
     c.add_argument("--prime-bound", type=int, default=10**5)
     c.add_argument("--out", type=str, default=None)

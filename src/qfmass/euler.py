@@ -237,7 +237,8 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 
 def genus_partition(S: int) -> list[dict]:
     """Primitive proper classes of determinant S grouped into genera, each
-    with its local symbols and Hasse labels at p | 2S."""
+    with its local symbols and Hasse labels at p | 2S.  Classes keep the
+    `abc` order of enumerate_classes, within and across genera."""
     primes = sorted({2} | {p for p, _ in factor(S) if p != 2})
     genera: dict[tuple, dict] = {}
     for f in enumerate_classes(S):

@@ -1,6 +1,10 @@
-"""Integral quadratic forms held by their Hessian matrices: reduction and
-equivalence of positive-definite binary forms, automorphism counting, and
-exhaustive enumeration by determinant.
+"""Integral quadratic forms of rank 1 or 2 held by their Hessian matrices:
+reduction and equivalence of positive-definite binary forms, automorphism
+counting, and exhaustive enumeration by determinant.
+
+Only the two ranks that occur are supported, so determinants and Hasse
+invariants are closed forms: a nondegenerate binary space is <x, det_G/x>
+for any value x != 0 it takes, hence c_v = (x, -det_H/4)_v.
 
 The enumeration here is the brute-force oracle the analytic machinery is
 checked against, so it stays elementary on purpose.
@@ -26,6 +30,8 @@ class QuadForm:
     def __post_init__(self):
         H = self.hessian
         n = len(H)
+        if n not in (1, 2):
+            raise ValueError("only rank 1 and rank 2 forms are supported")
         if any(len(row) != n for row in H):
             raise ValueError("hessian must be square")
         for i in range(n):
@@ -86,31 +92,15 @@ class QuadForm:
 
 def det_hessian(f: QuadForm) -> int:
     """Determinant of the Hessian matrix (4ac - b^2 for binary forms)."""
-    H = [[Fraction(x) for x in row] for row in f.hessian]
-    n = len(H)
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if H[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            H[i], H[piv] = H[piv], H[i]
-            det = -det
-        det *= H[i][i]
-        for r in range(i + 1, n):
-            m = H[r][i] / H[i][i]
-            for cidx in range(i, n):
-                H[r][cidx] -= m * H[i][cidx]
-    assert det.denominator == 1
-    return int(det)
+    H = f.hessian
+    if f.n == 1:
+        return H[0][0]
+    return H[0][0] * H[1][1] - H[0][1] ** 2
 
 
 def is_primitive(f: QuadForm) -> bool:
     """True iff the form coefficients have content 1 (gcd(a, b, c) for binary)."""
-    g = 0
-    for x in f.coefficients():
-        g = gcd(g, x)
-    return g == 1
+    return content(f) == 1
 
 
 def content(f: QuadForm) -> int:
@@ -255,52 +245,21 @@ def improper_classes(S: int) -> list[list[QuadForm]]:
     return groups
 
 
-def _rational_diagonal(f: QuadForm) -> list[Fraction]:
-    """Diagonal entries of a rational diagonalization of the Gram matrix."""
-    n = f.n
-    G = [[Fraction(f.hessian[i][j], 2) for j in range(n)] for i in range(n)]
-    diag: list[Fraction] = []
-    idx = list(range(n))
-    while idx:
-        # find a basis vector with nonzero Gram value, pivoting if needed
-        i = next((k for k in idx if G[k][k] != 0), None)
-        if i is None:
-            pair = next(
-                ((j, k) for j in idx for k in idx if j < k and G[j][k] != 0), None
-            )
-            if pair is None:
-                raise ValueError("degenerate form")
-            j, k = pair
-            # replace e_j by e_j + e_k to expose a nonzero diagonal entry
-            for m in range(n):
-                G[j][m] += G[k][m]
-            for m in range(n):
-                G[m][j] += G[m][k]
-            i = j
-        d = G[i][i]
-        diag.append(d)
-        idx.remove(i)
-        for r in idx:
-            lam = G[r][i] / d
-            if lam:
-                for m in range(n):
-                    G[r][m] -= lam * G[i][m]
-                for m in range(n):
-                    G[m][r] -= lam * G[m][i]
-    return diag
-
-
 def hasse_invariant(f: QuadForm, place) -> int:
     """Hasse invariant of the rational quadratic space at a place: the product
-    of pairwise Hilbert symbols (a_i, a_j), i < j, over a diagonalization."""
-    diag = _rational_diagonal(f)
-    if any(d == 0 for d in diag):
+    of pairwise Hilbert symbols (a_i, a_j), i < j, over any diagonalization.
+
+    Rank 1 has the empty product 1.  A binary space is <x, det_G/x> for any
+    value x != 0 it takes, so c_v = (x, -det_G)_v with det_G = det_H/4;
+    x = a, else c, else Q(e1 + e2) = b when a = c = 0.
+    """
+    d = det_hessian(f)
+    if d == 0:
         raise ValueError("degenerate form")
-    sign = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            sign *= hilbert_symbol(diag[i], diag[j], place)
-    return sign
+    if f.n == 1:
+        return 1
+    a, b, c = f.abc
+    return hilbert_symbol(a or c or b, Fraction(-d, 4), place)
 
 
 def scale_hasse(u, f: QuadForm, place) -> int:

@@ -58,7 +58,7 @@ def genus_census(S: int) -> GenusReport:
         raise ValueError("determinant must be positive")
     genera = []
     for rec in genus_partition(S):
-        classes = sorted(rec["classes"], key=lambda f: f.abc)
+        classes = rec["classes"]
         sos = [proper_automorphism_count(f) for f in classes]
         mass = sum((Fraction(1, 2 * so) for so in sos), Fraction(0))
         genera.append(
@@ -113,6 +113,8 @@ class LTruncation:
 
     `value` is the Abel-summed character sum (the accurate estimate);
     `euler_value` is the raw Euler product over primes <= prime_bound.
+    `error_estimate` = 4P^2/M^2 (character period P, M terms) is a heuristic
+    size for the Abel tail, not a proven bound on |value - L(1, chi)|.
     """
 
     D: int
@@ -267,12 +269,13 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
     rep = genus_census(S)
     numeric = total_mass_numeric(S, prime_bound, report=rep)
     classes = sorted(rep.classes, key=lambda f: f.abc)
+    aut = {f: n for g in rep.genera for f, n in zip(g.classes, g.aut_orders)}
     index = {f: i for i, f in enumerate(classes)}
     return {
         "schema": SCHEMA_VERSION,
         "det": S,
         "classes": [list(f.abc) for f in classes],
-        "aut": [automorphism_count(f) for f in classes],
+        "aut": [aut[f] for f in classes],
         "genera": [[index[f] for f in g.classes] for g in rep.genera],
         "mass_exact": str(rep.total_mass),
         "kappa": numeric["kappa"],

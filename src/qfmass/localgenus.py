@@ -130,12 +130,12 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
         raise ValueError("degenerate form")
     nu = valuation(d, 2)
     unit = (d >> nu) % 8
-    c2 = hasse_invariant(f, 2)
     if nu == 0:
         # even-unimodular row: table label, not the pairwise-symbol value
         return TwoAdicGenusSymbol(SHAPE_BAR2, 0, unit, -1, None)
     a, _, c = f.abc
     u1 = a if a % 2 else c
+    c2 = hasse_invariant(f, 2)
     return TwoAdicGenusSymbol(shape_for_nu(nu), nu, unit, c2, _canonical_lead(nu, u1 % 8))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -130,3 +131,51 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
+
+
+def test_classify_without_det_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    assert "--det" in capsys.readouterr().err
+
+
+def test_classify_det_and_det_range_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--det", "23", "--det-range", "1:5"])
+    assert exc.value.code == 2
+    assert "not allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "decomposition", "--max-det", "0"), "--max-det"),
+        (("verify", "siegel", "--max-det", "0"), "--max-det"),
+        (("verify", "class-number", "--dmax", "2"), "--dmax"),
+    ],
+)
+def test_verify_rejects_empty_range(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+# sha256 of stdout for fixed invocations: identical invocations must keep
+# producing byte-identical output, so a changed digest is a changed output
+GOLDEN_SHA256 = {
+    "classify --det-range 1:40": "feff43d7dda802ea1bd89b838ed58271c15218fa3bcc8cef9055f1c0d8f0a1ea",
+    "classify --det-range 1:40 --format csv": "cc3ed066efdfcf5e9bcc08467701893070e9727dec64c2078dc3a96c94fe516a",
+    "verify decomposition --max-det 300": "471e00b9afae76b9f2d83ffdc8825b2b89f264bbd47b2ae0034a691d8202bdf8",
+    "verify siegel --max-det 300": "1fab961f5c67e0bb2696ee61c237171ea6f545ddad0edf461ccc028824309dd8",
+    "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
+        "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_output_is_byte_identical_to_golden(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command]

@@ -5,8 +5,10 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from qfmass.arith import OO, factor, legendre
+from qfmass.arith import OO, factor, hilbert_symbol, legendre
 from qfmass.forms import (
     QuadForm,
     SignatureVector,
@@ -114,6 +116,13 @@ def test_quadform_validation():
         QuadForm(((1, 0), (0, 2)))  # odd diagonal
     with pytest.raises(ValueError):
         QuadForm(((2, 1), (0, 2)))  # not symmetric
+
+
+def test_quadform_rejects_ranks_other_than_one_and_two():
+    with pytest.raises(ValueError):
+        QuadForm(())
+    with pytest.raises(ValueError):
+        QuadForm.diagonal(1, 1, 1)
 
 
 def test_values_and_coefficients():
@@ -312,3 +321,33 @@ def test_signature_vector():
     assert SignatureVector(1, 1).eps_infty() == 1
     assert SignatureVector(0, 2).eps_infty() == -1
     assert SignatureVector(2, 0).n == 2
+
+
+# ---------------------------------------------------------------------------
+# hasse invariants: properties independent of the diagonalizing value
+
+PLACES = (2, 3, 5, 7, OO)
+coeff = st.integers(-40, 40)
+entry = st.integers(-6, 6)
+nonzero = st.integers(-60, 60).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coeff, coeff, coeff, entry, entry, entry, entry)
+@example(0, 3, 5, 1, 2, 0, 1)  # a = 0
+@example(0, 1, 0, 2, 1, 1, 3)  # a = c = 0: the hyperbolic plane xy
+@example(0, 6, 0, 1, 0, 0, -1)
+def test_hasse_invariant_is_a_rational_isometry_invariant(a, b, c, p, q, r, s):
+    f = QuadForm.binary(a, b, c)
+    assume(det_hessian(f) != 0 and p * s - q * r != 0)
+    g = f.transform(((p, q), (r, s)))
+    for v in PLACES:
+        assert hasse_invariant(g, v) == hasse_invariant(f, v), (f.abc, g.abc, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero, nonzero)
+def test_hasse_invariant_of_diagonal_form_is_the_hilbert_symbol(u1, u2):
+    f = QuadForm.diagonal(u1, u2)
+    for v in PLACES:
+        assert hasse_invariant(f, v) == hilbert_symbol(u1, u2, v)
