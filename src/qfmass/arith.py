@@ -1,13 +1,18 @@
 """Exact integer/rational primitives: factorization, quadratic symbols,
 Hilbert symbols, and local squareclasses of Q_p.
 
-Everything here is pure and stateless; all results are exact (int / Fraction).
+All results are exact (int / Fraction).  The functions are pure, except
+that the module keeps one prime sieve per process (see `shared_primes`)
+and memoizes `is_prime`; both caches change only speed and memory, never a
+result.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 # Marker for the real place of Q in hilbert_symbol().
@@ -19,27 +24,53 @@ _FACTOR_LIMIT = _PRIME_LIMIT**2
 
 @lru_cache(maxsize=1)
 def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
-    """All primes < limit, by sieve of Eratosthenes."""
+    """All primes < limit, by sieve of Eratosthenes.
+
+    Each cache miss is one sieve build.  Only the latest sieve is kept;
+    the library reaches it through `shared_primes`.
+    """
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return tuple(i for i in range(limit) if sieve[i])
+    return tuple(compress(range(limit), sieve))
 
 
+# The bound of the shared sieve: the largest bound asked for so far, at
+# least the default.  It never shrinks.
+_sieve_limit = _PRIME_LIMIT
+
+
+def shared_primes(bound: int = _PRIME_LIMIT) -> tuple[int, ...]:
+    """The process-wide sieve: all primes < L, where L >= bound is the
+    largest bound requested so far (at least 10^6).
+
+    Callers slice it with `bisect` or stop at their own bound.  At the
+    default size it is `primes_below()`, the same cache entry as a bare
+    warm-up call, so no second default sieve is built.
+    """
+    global _sieve_limit
+    if bound > _sieve_limit:
+        _sieve_limit = bound
+    if _sieve_limit == _PRIME_LIMIT:
+        return primes_below()
+    return primes_below(_sieve_limit)
+
+
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
+    """Primality of n < 10^12: a sieve lookup below the sieve bound, trial
+    division by the sieved primes above it.  Memoized (errors are not)."""
     if n < 2:
         return False
-    if n < _PRIME_LIMIT:
-        ps = primes_below()
-        import bisect
-
-        i = bisect.bisect_left(ps, n)
-        return i < len(ps) and ps[i] == n
     if n >= _FACTOR_LIMIT:
         raise ValueError(f"{n} is beyond the supported factorization range")
-    for p in primes_below():
+    ps = shared_primes()
+    if n < _sieve_limit:
+        i = bisect_left(ps, n)
+        return i < len(ps) and ps[i] == n
+    for p in ps:
         if p * p > n:
             return True
         if n % p == 0:
@@ -58,7 +89,7 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n >= _FACTOR_LIMIT:
         raise ValueError(f"{n} is beyond the supported factorization range")
     out = []
-    for p in primes_below():
+    for p in shared_primes():
         if p * p > n:
             break
         if n % p == 0:

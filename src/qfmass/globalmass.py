@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import LocalSquareClass, factor, kronecker, primes_below, valuation
+from .arith import LocalSquareClass, factor, kronecker, shared_primes, valuation
 from .euler import genus_partition
 from .forms import (
     QuadForm,
@@ -97,6 +98,10 @@ def kappa(S: int) -> int:
 # ---------------------------------------------------------------------------
 # Dirichlet L-values by truncated character sums
 
+# Most terms an L-value may use.  M terms cost about 32 M bytes of float64
+# arrays at peak and keep a sieve of the primes <= M for the process.
+L_TERMS_MAX = 10**7
+
 
 def _char_period(D: int) -> int:
     return abs(D) if D % 4 in (0, 1) else 4 * abs(D)
@@ -124,21 +129,40 @@ class LTruncation:
     error_estimate: float
 
 
+def _euler_product(table: np.ndarray, M: int) -> float:
+    """prod over primes p <= M of (1 - chi(p)/p)^-1, chi given by its table.
+
+    `np.divide.reduce` divides left to right, as the scalar loop
+    `euler /= 1 - chi(p)/p` does, and chi(p) = 0 gives an exact factor 1.0,
+    so the result is the loop's to the last bit.
+    """
+    primes = shared_primes(M + 1)
+    p = np.array(primes[: bisect_right(primes, M)], dtype=np.int64)
+    factors = 1.0 - table[p % len(table)] / p
+    return float(np.divide.reduce(np.concatenate(([1.0], factors))))
+
+
 def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     """Evaluate L(1, chi_D) for the Kronecker symbol chi_D = (D|.), D < 0.
 
     The character sum sum chi(m)/m is conditionally convergent; Abel
     summation against the periodic partial sums gives an O((P/bound)^2)
-    tail, far below the raw-product error at the same bound.
+    tail, far below the raw-product error at the same bound.  The number of
+    terms M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
+    refused before any table, array or sieve is built.
     """
     if D >= 0:
         raise ValueError("negative discriminant-like D required")
     if prime_bound < 100:
         raise ValueError("prime_bound must be at least 100")
     P = _char_period(D)
-    table = _char_table(D)
     # the Abel correction needs several full periods of partial sums
     M = max(int(prime_bound), 10 * P)
+    if M > L_TERMS_MAX:
+        raise ValueError(f"L-value needs {M} terms, more than the supported {L_TERMS_MAX}")
+    table = _char_table(D)
+    # before the Abel arrays, so the two peaks do not add up
+    euler = _euler_product(table, M)
     m = np.arange(1, M + 1)
     chi_vals = table[m % P].astype(np.float64)
     partial = float(np.dot(chi_vals, 1.0 / m))
@@ -146,14 +170,6 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     T_mean = float(T[:P].mean())
     abel = partial + (T_mean - float(T[-1])) / (M + 1)
     err = 4.0 * P * P / (M * M) + 1e-12
-
-    euler = 1.0
-    for p in primes_below(M + 1):
-        if p > M:
-            break
-        cp = int(table[p % P])
-        if cp:
-            euler /= 1.0 - cp / p
     return LTruncation(D=D, prime_bound=M, value=abel, euler_value=euler, error_estimate=err)
 
 

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
+from math import isqrt
 
 import pytest
 
+from qfmass import arith
 from qfmass.arith import (
     NQR,
     OO,
@@ -15,11 +18,16 @@ from qfmass.arith import (
     factor,
     gamma_factor,
     hilbert_symbol,
+    is_prime,
     kronecker,
     legendre,
+    primes_below,
+    shared_primes,
     valuation,
 )
 from fractions import Fraction
+
+from qfmass.globalmass import l_value_truncated
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,89 @@ def test_factor_roundtrip():
 def test_factor_rejects_huge():
     with pytest.raises(ValueError):
         factor(10**13)
+
+
+def test_is_prime_rejects_huge_every_time():
+    # the memo does not cache errors
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_prime(10**12)
+
+
+# ---------------------------------------------------------------------------
+# the shared prime sieve
+
+
+def primes_by_trial_division(limit: int) -> list[int]:
+    return [n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def sieve_builds() -> int:
+    return primes_below.cache_info().misses
+
+
+@pytest.fixture
+def cold_sieve(monkeypatch):
+    """A fresh process's sieve state: nothing built, default bound, empty
+    is_prime memo.  The bound is restored afterwards; the cache rebuilds
+    on demand, so later tests see correct primes either way."""
+    monkeypatch.setattr(arith, "_sieve_limit", arith._PRIME_LIMIT)
+    primes_below.cache_clear()
+    is_prime.cache_clear()
+    yield
+    is_prime.cache_clear()
+
+
+def test_sieve_is_shared_by_factor_is_prime_and_l_values(cold_sieve):
+    primes_below()  # the warm-up a benchmark round or acceptance run makes
+    before = sieve_builds()
+    assert factor(2**10 * 999_983) == [(2, 10), (999_983, 1)]
+    assert is_prime(97) and not is_prime(91)
+    assert is_prime(1_000_003) and not is_prime(1_000_001)
+    assert l_value_truncated(-23).prime_bound == 10**5
+    assert factor(600_851_475_143) == [(71, 1), (839, 1), (1471, 1), (6857, 1)]
+    assert l_value_truncated(-1996).prime_bound == 10**5
+    assert is_prime(2**31 - 1)
+    assert sieve_builds() == before
+
+
+def test_sieve_grows_once_and_never_shrinks(cold_sieve):
+    primes_below()
+    before = sieve_builds()
+    # M = 10^6 + 3 terms need the primes <= 10^6 + 3, one past the default
+    assert l_value_truncated(-3, 10**6 + 3).prime_bound == 10**6 + 3
+    assert sieve_builds() == before + 1
+    assert len(shared_primes()) == 78_499 and shared_primes()[-1] == 1_000_003
+    l_value_truncated(-3, 10**6 + 3)
+    l_value_truncated(-23)
+    assert factor(1_000_003 * 999_983) == [(999_983, 1), (1_000_003, 1)]
+    assert is_prime(1_000_003) and not is_prime(1_000_001) and is_prime(999_983)
+    assert len(shared_primes(100)) == 78_499
+    assert sieve_builds() == before + 1
+
+
+@pytest.mark.parametrize("limit", [2, 3, 100, 10**5 + 1])
+def test_primes_below_matches_trial_division(cold_sieve, limit):
+    expected = primes_by_trial_division(limit)
+    if limit == 10**5 + 1:
+        assert len(expected) == 9592  # pi(10^5)
+    assert list(primes_below(limit)) == expected
+    # the shared sieve sliced at the limit, at the default bound and grown
+    for bound in (limit, 10**6 + 3):
+        ps = shared_primes(bound)
+        assert list(ps[: bisect_left(ps, limit)]) == expected
+    assert list(primes_below(limit)) == expected
+
+
+def test_primes_below_million(cold_sieve):
+    ps = primes_below(10**6 + 1)
+    assert len(ps) == 78_498  # pi(10^6)
+    assert all(a < b for a, b in zip(ps, ps[1:])) and ps[-1] < 10**6 + 1
+    # every entry is prime: a composite below 10^6 + 1 has a prime factor <= 1000
+    small = primes_by_trial_division(1001)
+    assert all(p in small or all(p % q for q in small) for p in ps)
+    grown = shared_primes(10**6 + 4)
+    assert grown[: bisect_left(grown, 10**6 + 1)] == ps
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ def test_classify_bad_det(capsys):
     assert code == 2 and "det" in err
 
 
+def test_classify_refuses_oversized_l_value(capsys):
+    code, out, err = run_cli(capsys, "classify", "--det", "3", "--prime-bound", str(10**7 + 1))
+    assert code == 2 and out == "" and "terms" in err
+
+
 def test_classify_range_csv(capsys):
     code, out, _ = run_cli(capsys, "classify", "--det-range", "3:5", "--format", "csv")
     assert code == 0

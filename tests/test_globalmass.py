@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
+from qfmass import arith, globalmass
+from qfmass.arith import primes_below
 from qfmass.forms import QuadForm
 from qfmass.globalmass import (
+    L_TERMS_MAX,
     _char_period,
     _char_table,
     class_number,
@@ -126,6 +129,41 @@ def test_l_truncation_validation():
         l_value_truncated(5)
     with pytest.raises(ValueError):
         l_value_truncated(-3, 10)
+
+
+def euler_product_by_loop(D: int, M: int) -> float:
+    """The raw Euler product as a scalar loop over the primes <= M."""
+    P = _char_period(D)
+    table = _char_table(D)
+    euler = 1.0
+    for p in primes_below(M + 1):
+        cp = int(table[p % P])
+        if cp:
+            euler /= 1.0 - cp / p
+    return euler
+
+
+@pytest.mark.parametrize(
+    "D,bound",
+    [(-3, 10**5), (-4, 100), (-7, 12_345), (-8, 10**5), (-84, 10**5), (-163, 2 * 10**5),
+     (-1999, 10**5), (-99_999, 10**5), (-23, 10**6 + 3), (-100_003, 10**5)],
+)
+def test_euler_value_equals_scalar_loop(D, bound):
+    trunc = l_value_truncated(D, bound)
+    assert trunc.euler_value == euler_product_by_loop(D, trunc.prime_bound)
+
+
+def test_l_truncation_refuses_oversized_term_counts(monkeypatch):
+    def no_table(D):
+        raise AssertionError("character table built for a refused L-value")
+
+    monkeypatch.setattr(globalmass, "_char_table", no_table)
+    builds, sieve_limit = primes_below.cache_info().misses, arith._sieve_limit
+    with pytest.raises(ValueError, match="terms"):
+        l_value_truncated(-3, L_TERMS_MAX + 1)
+    with pytest.raises(ValueError, match="terms"):
+        l_value_truncated(-1_000_003)  # 10 |D| > L_TERMS_MAX
+    assert primes_below.cache_info().misses == builds and arith._sieve_limit == sieve_limit
 
 
 def test_l_truncation_stability_under_bound_increase():
