@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import isqrt
 
 # Marker for the real place of Q in hilbert_symbol().
@@ -159,6 +159,11 @@ def legendre(a: int, p: int) -> int:
     return kronecker(a, p)
 
 
+def smallest_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    return next(r for r in count(2) if legendre(r, p) == -1)
+
+
 def _split(x: Fraction | int, p: int) -> tuple[int, Fraction]:
     """x = p^alpha * u with u a p-adic unit; returns (alpha, u)."""
     x = Fraction(x)
@@ -255,9 +260,7 @@ class LocalSquareClass:
         """A representative integer for the unit part."""
         if self.p == 2:
             return self.unit
-        if self.unit == QR:
-            return 1
-        return min(r for r in range(2, self.p) if legendre(r, self.p) == -1)
+        return 1 if self.unit == QR else smallest_nonresidue(self.p)
 
     def normalized_unit(self) -> "LocalSquareClass":
         """The associated normalized squareclass (valuation stripped)."""

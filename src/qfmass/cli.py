@@ -10,27 +10,24 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
-from .arith import is_prime
+from .arith import factor, is_prime, smallest_nonresidue
 from .euler import (
     a_coeff,
     b_coeff,
     closed_form,
     closed_form_report,
     decomposition_check,
+    genus_partition,
     sign_tuple_identity,
 )
-from .forms import enumerate_classes
 from .globalmass import (
     SCHEMA_VERSION,
     dirichlet_check,
-    genus_census,
     is_fundamental_discriminant,
     report_csv_rows,
     report_json_obj,
     report_json_str,
-    total_mass_numeric,
 )
 from .mass import genus_mass_ratio
 
@@ -135,8 +132,6 @@ def _verify_decomposition(max_det: int, instances: int = 50, seed: int = 20237) 
     cons_ok = True
     for _ in range(instances):
         S = rng.randint(1, max_det)
-        from .arith import factor
-
         pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
         k = rng.randint(1, min(3, len(pool)))
         primes = rng.sample(pool, k)
@@ -156,12 +151,12 @@ def _verify_siegel(max_det: int) -> tuple[bool, list[str]]:
     lines = []
     multi = 0
     for S in range(1, max_det + 1):
-        rep = genus_census(S)
-        if len(rep.genera) < 2:
+        genera = genus_partition(S)
+        if len(genera) < 2:
             continue
         multi += 1
-        base = rep.genera[0]
-        for other in rep.genera[1:]:
+        base = genera[0]
+        for other in genera[1:]:
             local = genus_mass_ratio(other.symbols, base.symbols)
             censusr = other.mass / base.mass
             if local != censusr:
@@ -196,7 +191,7 @@ def _verify_closed_forms() -> tuple[bool, list[str]]:
     ok = True
     lines = []
     for p in (3, 5, 7, 11, 13):
-        for u in (1, _smallest_nonresidue(p)):
+        for u in (1, smallest_nonresidue(p)):
             for which in ("A", "B"):
                 rep = closed_form_report(p, u, which, 11)
                 if not (rep["table_matches"] and rep["printed_matches"]):
@@ -217,12 +212,6 @@ def _verify_closed_forms() -> tuple[bool, list[str]]:
                 )
     lines.append(f"{'PASS' if two_ok else 'FAIL'} p=2 table closed forms match enumeration")
     return ok and two_ok, lines
-
-
-def _smallest_nonresidue(p: int) -> int:
-    from .arith import legendre
-
-    return min(r for r in range(2, p) if legendre(r, p) == -1)
 
 
 def cmd_verify(args) -> int:

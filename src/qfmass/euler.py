@@ -13,11 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import LocalSquareClass, chi, factor, gamma_factor
-from .forms import QuadForm, det_hessian, enumerate_classes
-from .localgenus import enumerate_local_genera, local_symbol
+from .forms import QuadForm, _automorphisms, enumerate_classes
+from .localgenus import LocalGenusSymbol, enumerate_local_genera, local_symbol
 from .mass import density_ratio
 
 # ---------------------------------------------------------------------------
@@ -235,27 +235,65 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 # the global decomposition identity
 
 
-def genus_partition(S: int) -> list[dict]:
-    """Primitive proper classes of determinant S grouped into genera, each
-    with its local symbols and Hasse labels at p | 2S.  Classes keep the
-    `abc` order of enumerate_classes, within and across genera."""
-    primes = sorted({2} | {p for p, _ in factor(S) if p != 2})
-    genera: dict[tuple, dict] = {}
+@dataclass(frozen=True)
+class GenusRecord:
+    """One genus of primitive proper classes of a determinant: its classes in
+    `abc` order, with local symbols and Hasse labels at p | 2S.
+
+    Automorphism orders and the mass are computed on first read, from one
+    automorphism scan per class, and kept.  Records are shared through the
+    `genus_partition` memo, so no caller may mutate one.
+    """
+
+    classes: tuple[QuadForm, ...]
+    symbols: dict[int, LocalGenusSymbol]
+    labels: dict[int, int]
+
+    @cached_property
+    def _aut_scan(self) -> tuple[list[int], list[int]]:
+        """(|Aut f| per class, |proper Aut f| per class)."""
+        full, proper = [], []
+        for f in self.classes:
+            auts = _automorphisms(f)
+            full.append(len(auts))
+            proper.append(sum(p * s - q * r == 1 for (p, q), (r, s) in auts))
+        return full, proper
+
+    @property
+    def aut_orders(self) -> list[int]:
+        return self._aut_scan[0]
+
+    @property
+    def proper_aut_orders(self) -> list[int]:
+        return self._aut_scan[1]
+
+    @cached_property
+    def mass(self) -> Fraction:
+        """sum over the classes of 1/(2 |proper Aut|)."""
+        return sum((Fraction(1, 2 * so) for so in self.proper_aut_orders), Fraction(0))
+
+
+@lru_cache(maxsize=1)
+def genus_partition(S: int) -> tuple[GenusRecord, ...]:
+    """Primitive proper classes of determinant S grouped into genera, the
+    only enumeration behind the census.  Classes keep the `abc` order of
+    enumerate_classes, within and across genera.  Memoized for the latest
+    S: the census and both decomposition checks of one S share one build.
+    """
+    primes = sorted({2} | {p for p, _ in factor(S)})
+    groups: dict[tuple, tuple[dict, list[QuadForm]]] = {}
     for f in enumerate_classes(S):
         syms = {p: local_symbol(f, p) for p in primes}
-        key = tuple(syms[p] for p in primes)
-        rec = genera.setdefault(
-            key,
-            {
-                "symbols": syms,
-                "labels": {
-                    p: (syms[p].c2 if p == 2 else syms[p].hasse()) for p in primes
-                },
-                "classes": [],
-            },
+        groups.setdefault(tuple(syms.values()), (syms, []))[1].append(f)
+    # insertion order is the order of each genus's first class
+    return tuple(
+        GenusRecord(
+            classes=tuple(classes),
+            symbols=syms,
+            labels={p: (sym.c2 if p == 2 else sym.hasse()) for p, sym in syms.items()},
         )
-        rec["classes"].append(f)
-    return [genera[k] for k in sorted(genera, key=lambda k: genera[k]["classes"][0].abc)]
+        for syms, classes in groups.values()
+    )
 
 
 def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None) -> dict:
@@ -275,18 +313,13 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
 
     lhs = Fraction(0)
     for rec in genus_partition(S):
-        ok = True
-        for p, want in constraints.items():
-            have = rec["labels"].get(p, 1)  # good primes carry label +1
-            if have != want:
-                ok = False
-                break
-        if not ok:
+        # good primes carry label +1
+        if any(rec.labels.get(p, 1) != want for p, want in constraints.items()):
             continue
         term = Fraction(1)
         for p in T:
-            if p in rec["symbols"]:
-                term *= density_ratio(rec["symbols"][p])
+            if p in rec.symbols:
+                term *= density_ratio(rec.symbols[p])
             # at a good odd prime the unique unimodular genus has ratio 1
         lhs += term
 

@@ -1,4 +1,4 @@
-"""End-to-end verification over Q: class/genus census, exact total masses,
+"""End-to-end verification over Q: the census report, exact total masses,
 the closed total-mass formula with truncated L-values, and the analytic
 class number formula for imaginary quadratic fields.
 
@@ -19,26 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import LocalSquareClass, factor, kronecker, shared_primes, valuation
-from .euler import genus_partition
-from .forms import (
-    QuadForm,
-    automorphism_count,
-    enumerate_classes,
-    proper_automorphism_count,
-)
+from .arith import factor, kronecker, shared_primes
+from .euler import GenusRecord, genus_partition
+from .forms import QuadForm, automorphism_count, enumerate_classes
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class GenusRecord:
-    classes: list[QuadForm]
-    symbols: dict
-    labels: dict[int, int]
-    aut_orders: list[int]
-    proper_aut_orders: list[int]
-    mass: Fraction
 
 
 @dataclass
@@ -53,46 +38,24 @@ class GenusReport:
 
 
 def genus_census(S: int) -> GenusReport:
-    """Primitive proper classes of determinant S partitioned into genera,
-    with exact masses sum 1/(2 |proper Aut|) per genus."""
+    """The shared genus records of determinant S (see `genus_partition`)
+    with their total mass, sum 1/(2 |proper Aut|) over proper classes."""
     if S <= 0:
         raise ValueError("determinant must be positive")
-    genera = []
-    for rec in genus_partition(S):
-        classes = rec["classes"]
-        sos = [proper_automorphism_count(f) for f in classes]
-        mass = sum((Fraction(1, 2 * so) for so in sos), Fraction(0))
-        genera.append(
-            GenusRecord(
-                classes=classes,
-                symbols=rec["symbols"],
-                labels=rec["labels"],
-                aut_orders=[automorphism_count(f) for f in classes],
-                proper_aut_orders=sos,
-                mass=mass,
-            )
-        )
-    total = sum((g.mass for g in genera), Fraction(0))
-    return GenusReport(det=S, genera=genera, total_mass=total)
+    genera = list(genus_partition(S))
+    return GenusReport(det=S, genera=genera, total_mass=sum((g.mass for g in genera), Fraction(0)))
 
 
 def kappa(S: int) -> int:
     """The {0, 1, 2}-valued constant of the closed total-mass formula.
 
-    2 when the determinant ideal is a square, the normalized 2-adic class is
-    3 mod 4, and tau (the number of primes over 2 prime to the ideal) is
-    even; 0 in the same case with tau odd; 1 otherwise.  Over Q an odd
-    square has unit part 1 mod 8, so the value is always 1 for realizable S.
+    It differs from 1 only when S is a square whose normalized 2-adic unit
+    is 3 mod 4.  Over Q that never happens: the odd part of a square S is an
+    odd square, and odd squares are 1 mod 8.  So kappa(S) = 1 for all S > 0.
     """
-    facs = factor(S)
-    if any(e % 2 for _, e in facs):
-        return 1
-    nu2 = valuation(S, 2)
-    unit2 = (S >> nu2) % 8
-    if unit2 % 4 != 3:
-        return 1
-    tau = 1 if nu2 == 0 else 0
-    return 2 if tau % 2 == 0 else 0
+    if S <= 0:
+        raise ValueError("determinant must be positive")
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +105,20 @@ def _euler_product(table: np.ndarray, M: int) -> float:
     return float(np.divide.reduce(np.concatenate(([1.0], factors))))
 
 
+def _l_terms(D: int, prime_bound: int) -> int:
+    """The number of terms M = max(prime_bound, 10 P) an L-value of chi_D
+    uses; refuses bad arguments and any M above L_TERMS_MAX."""
+    if D >= 0:
+        raise ValueError("negative discriminant-like D required")
+    if prime_bound < 100:
+        raise ValueError("prime_bound must be at least 100")
+    # the Abel correction needs several full periods of partial sums
+    M = max(int(prime_bound), 10 * _char_period(D))
+    if M > L_TERMS_MAX:
+        raise ValueError(f"L-value needs {M} terms, more than the supported {L_TERMS_MAX}")
+    return M
+
+
 def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     """Evaluate L(1, chi_D) for the Kronecker symbol chi_D = (D|.), D < 0.
 
@@ -151,15 +128,8 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     terms M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
     refused before any table, array or sieve is built.
     """
-    if D >= 0:
-        raise ValueError("negative discriminant-like D required")
-    if prime_bound < 100:
-        raise ValueError("prime_bound must be at least 100")
+    M = _l_terms(D, prime_bound)
     P = _char_period(D)
-    # the Abel correction needs several full periods of partial sums
-    M = max(int(prime_bound), 10 * P)
-    if M > L_TERMS_MAX:
-        raise ValueError(f"L-value needs {M} terms, more than the supported {L_TERMS_MAX}")
     table = _char_table(D)
     # before the Abel arrays, so the two peaks do not add up
     euler = _euler_product(table, M)
@@ -173,10 +143,10 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     return LTruncation(D=D, prime_bound=M, value=abel, euler_value=euler, error_estimate=err)
 
 
-def total_mass_numeric(S: int, prime_bound: int = 10**5, report: GenusReport | None = None) -> dict:
+def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
     """Exact census total mass vs the closed formula
     kappa(S) sqrt(S)/(4 pi) * prod over p prime to S of gamma_p^-1."""
-    rep = report if report is not None else genus_census(S)
+    rep = genus_census(S)
     census = rep.total_mass
     k = kappa(S)
     if rep.genera:
@@ -214,12 +184,16 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
+def _fundamental_classes(D: int) -> list[QuadForm]:
+    if not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a negative fundamental discriminant")
+    return enumerate_classes(-D)
+
+
 def class_number(D: int) -> int:
     """h(D) = number of proper classes of primitive forms with det_H = |D|,
     for a negative fundamental discriminant D (census based)."""
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a negative fundamental discriminant")
-    return len(enumerate_classes(-D))
+    return len(_fundamental_classes(D))
 
 
 def mu_order(D: int) -> int:
@@ -259,8 +233,8 @@ def kneser_counts(D: int) -> dict:
     """Sizes in the ideal-class correspondence: |G(O_K)| counts classes over
     both definite signatures (2h by the negation bijection), with observed
     automorphism orders compared against the uniform claim 2|mu_K|."""
-    h = class_number(D)
-    forms = enumerate_classes(-D)
+    forms = _fundamental_classes(D)
+    h = len(forms)
     auts = [automorphism_count(f) for f in forms]
     w = mu_order(D)
     return {
@@ -282,8 +256,11 @@ def _format_float(x: float | None) -> float | None:
 
 
 def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
+    if S > 0 and S % 4 in (0, 3):
+        # a realizable S needs an L-value: refuse it before the O(S) class scan
+        _l_terms(-S, prime_bound)
     rep = genus_census(S)
-    numeric = total_mass_numeric(S, prime_bound, report=rep)
+    numeric = total_mass_numeric(S, prime_bound)
     classes = sorted(rep.classes, key=lambda f: f.abc)
     aut = {f: n for g in rep.genera for f, n in zip(g.classes, g.aut_orders)}
     index = {f: i for i, f in enumerate(classes)}

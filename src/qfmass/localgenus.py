@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .arith import NQR, QR, LocalSquareClass, factor, hilbert_symbol, legendre, valuation
+from .arith import NQR, QR, LocalSquareClass, factor, hilbert_symbol, legendre, smallest_nonresidue, valuation
 from .forms import QuadForm, content, det_hessian, hasse_invariant
 
 SHAPE_BAR2 = "(2bar)"
@@ -55,9 +55,7 @@ class OddGenusSymbol:
 
     def unit_rep(self) -> int:
         """Integer representing the determinant unit class (for chi/gamma)."""
-        if self.det_tag() == QR:
-            return 1
-        return min(r for r in range(2, self.p) if legendre(r, self.p) == NQR)
+        return 1 if self.det_tag() == QR else smallest_nonresidue(self.p)
 
     def hasse(self) -> int:
         """Hasse invariant of any form in the genus (leading tag^nu)."""
@@ -213,9 +211,7 @@ def representative_form(sym: LocalGenusSymbol) -> QuadForm:
         p = sym.p
 
         def rep(tag):
-            return 1 if tag == QR else min(
-                r for r in range(2, p) if legendre(r, p) == NQR
-            )
+            return 1 if tag == QR else smallest_nonresidue(p)
 
         if len(sym.blocks) == 1:
             scale, _, tag = sym.blocks[0]

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qfmass import euler, forms
 from qfmass.cli import main
 
 
@@ -39,6 +40,16 @@ def test_classify_bad_det(capsys):
 def test_classify_refuses_oversized_l_value(capsys):
     code, out, err = run_cli(capsys, "classify", "--det", "3", "--prime-bound", str(10**7 + 1))
     assert code == 2 and out == "" and "terms" in err
+
+
+def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsys):
+    def no_scan(S, include_imprimitive=False):
+        raise AssertionError(f"class scan of {S}")
+
+    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
+    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    code, out, err = run_cli(capsys, "classify", "--det", "100000003")
+    assert code == 2 and out == "" and "L-value needs 1000000030 terms" in err
 
 
 def test_classify_range_csv(capsys):

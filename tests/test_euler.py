@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmass import euler
 from qfmass.arith import NQR, QR, LocalSquareClass, factor, gamma_factor, legendre
 from qfmass.euler import (
     RationalFunction,
@@ -17,6 +18,8 @@ from qfmass.euler import (
     normalized_mass_sum,
     sign_tuple_identity,
 )
+from qfmass.forms import automorphism_count, proper_automorphism_count
+from qfmass.globalmass import genus_census, report_json_obj
 
 
 def nonresidue(p: int) -> int:
@@ -226,9 +229,57 @@ def test_genus_partition_labels_consistent():
     for S in (23, 36, 48, 75):
         for rec in genus_partition(S):
             prod = 1
-            for p, lbl in rec["labels"].items():
+            for p, lbl in rec.labels.items():
                 prod *= lbl
             assert prod == (-1 if S % 2 else 1)
+
+
+def test_genus_partition_builds_once_per_determinant():
+    genus_partition.cache_clear()
+    for S, cons in ((48, {2: -1, 3: 1}), (75, {5: -1}), (23, {3: 1})):
+        before = genus_partition.cache_info()
+        genus_census(S)
+        decomposition_check(S)
+        decomposition_check(S, cons)
+        after = genus_partition.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), S
+
+
+def test_decomposition_check_runs_no_automorphism_scan(monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"automorphism scan of {f.abc}")
+
+    monkeypatch.setattr(euler, "_automorphisms", refuse)
+    genus_partition.cache_clear()
+    for S in range(1, 121):
+        assert decomposition_check(S)["equal"], S
+        assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
+
+
+def test_census_scans_automorphisms_once_per_class(monkeypatch):
+    scanned = []
+    scan = euler._automorphisms
+
+    def counting(f):
+        scanned.append(f)
+        return scan(f)
+
+    monkeypatch.setattr(euler, "_automorphisms", counting)
+    genus_partition.cache_clear()
+    for S in (3, 23, 48, 75, 100, 231):
+        scanned.clear()
+        rep = genus_census(S)
+        report_json_obj(S)
+        for g in rep.genera:
+            assert len(g.aut_orders) == len(g.proper_aut_orders) == len(g.classes)
+        assert sorted(f.abc for f in scanned) == sorted(f.abc for f in rep.classes), S
+
+
+def test_census_aut_orders_equal_the_oracle_counts():
+    for S in range(1, 301):
+        for g in genus_partition(S):
+            assert g.aut_orders == [automorphism_count(f) for f in g.classes], S
+            assert g.proper_aut_orders == [proper_automorphism_count(f) for f in g.classes], S
 
 
 # ---------------------------------------------------------------------------

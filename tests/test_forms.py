@@ -21,6 +21,7 @@ from qfmass.forms import (
     reduce_binary,
     scale_hasse,
 )
+from qfmass.localgenus import local_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +352,41 @@ def test_hasse_invariant_of_diagonal_form_is_the_hilbert_symbol(u1, u2):
     f = QuadForm.diagonal(u1, u2)
     for v in PLACES:
         assert hasse_invariant(f, v) == hilbert_symbol(u1, u2, v)
+
+
+# ---------------------------------------------------------------------------
+# proper-equivalence invariants: reduction, local symbols, automorphisms
+
+
+@st.composite
+def reduced_primitive_forms(draw):
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(-a + 1, a))
+    c = draw(st.integers(a, 30))
+    assume(not (b < 0 and a == c))
+    f = QuadForm.binary(a, b, c)
+    assume(is_primitive(f))
+    return f
+
+
+@st.composite
+def sl2z_matrices(draw):
+    """Words in the generators ((1, k), (0, 1)) and ((0, -1), (1, 0))."""
+    t = ((1, 0), (0, 1))
+    for k in draw(st.lists(st.integers(-2, 2), max_size=3)):
+        (p, q), (r, s) = t
+        t = ((p * k + q, -p), (r * k + s, -r))  # t @ ((1, k), (0, 1)) @ ((0, -1), (1, 0))
+    return t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(reduced_primitive_forms(), sl2z_matrices())
+def test_proper_equivalence_keeps_reduction_symbols_and_automorphisms(f, t):
+    (p, q), (r, s) = t
+    assert p * s - q * r == 1
+    g = f.transform(t)
+    assert reduce_binary(g) == f
+    for prime in sorted({2} | {pr for pr, _ in factor(det_hessian(f))}):
+        assert local_symbol(g, prime) == local_symbol(f, prime), (f.abc, g.abc, prime)
+    assert automorphism_count(g) == automorphism_count(f)
+    assert proper_automorphism_count(g) == proper_automorphism_count(f)
