@@ -6,7 +6,6 @@ from .arith import (
     NQR,
     OO,
     QR,
-    GlobalDeterminant,
     LocalSquareClass,
     chi,
     factor,
@@ -29,7 +28,6 @@ from .euler import (
 )
 from .forms import (
     QuadForm,
-    SignatureVector,
     automorphism_count,
     det_hessian,
     enumerate_classes,
@@ -66,8 +64,6 @@ from .localgenus import (
 )
 from .mass import (
     HalfPower,
-    PiPower,
-    archimedean_V,
     count_SO_mod_p,
     density_ratio,
     generic_density_inverse,

@@ -274,39 +274,3 @@ class LocalSquareClass:
         if p == 2:
             return LocalSquareClass(2, v, u % 8)
         return LocalSquareClass(p, v, legendre(u, p))
-
-
-@dataclass(frozen=True)
-class GlobalDeterminant:
-    """A positive Hessian determinant together with its factorization."""
-
-    value: int
-    factorization: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(S: int) -> "GlobalDeterminant":
-        if S <= 0:
-            raise ValueError("determinant must be positive")
-        return GlobalDeterminant(S, tuple(factor(S)))
-
-    def ord(self, p: int) -> int:
-        for q, e in self.factorization:
-            if q == p:
-                return e
-        return 0
-
-    def localize(self, p: int) -> LocalSquareClass:
-        return LocalSquareClass.of(self.value, p)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factorization)
-
-    def ideal(self) -> int:
-        """The associated valuation ideal prod p^ord_p(S); over Q this is S."""
-        out = 1
-        for p, e in self.factorization:
-            out *= p**e
-        return out
-
-    def is_square_ideal(self) -> bool:
-        return all(e % 2 == 0 for _, e in self.factorization)

@@ -1,10 +1,10 @@
-"""Integral quadratic forms of rank 1 or 2 held by their Hessian matrices:
-reduction and equivalence of positive-definite binary forms, automorphism
-counting, and exhaustive enumeration by determinant.
+"""Integral binary quadratic forms held by their Hessian matrices: reduction
+and equivalence of positive-definite forms, automorphism counting, and
+exhaustive enumeration by determinant.
 
-Only the two ranks that occur are supported, so determinants and Hasse
-invariants are closed forms: a nondegenerate binary space is <x, det_G/x>
-for any value x != 0 it takes, hence c_v = (x, -det_H/4)_v.
+Only binary forms occur, so determinants and Hasse invariants are closed forms:
+a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
+takes, hence c_v = (x, -det_H/4)_v.
 
 The enumeration here is the brute-force oracle the analytic machinery is
 checked against, so it stays elementary on purpose.
@@ -15,73 +15,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import OO, hilbert_symbol
+from .arith import hilbert_symbol
 
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Integral quadratic form as its Hessian matrix (symmetric, even diagonal).
-
-    For binary forms a*x^2 + b*x*y + c*y^2 the Hessian is [[2a, b], [b, 2c]].
-    """
+    """Binary form a*x^2 + b*x*y + c*y^2 as its Hessian [[2a, b], [b, 2c]]."""
 
     hessian: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         H = self.hessian
-        n = len(H)
-        if n not in (1, 2):
-            raise ValueError("only rank 1 and rank 2 forms are supported")
-        if any(len(row) != n for row in H):
-            raise ValueError("hessian must be square")
-        for i in range(n):
-            if H[i][i] % 2:
-                raise ValueError("hessian diagonal must be even")
-            for j in range(i):
-                if H[i][j] != H[j][i]:
-                    raise ValueError("hessian must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return len(self.hessian)
+        if len(H) != 2 or any(len(row) != 2 for row in H):
+            raise ValueError("only binary forms (2x2 Hessians) are supported")
+        if H[0][0] % 2 or H[1][1] % 2:
+            raise ValueError("hessian diagonal must be even")
+        if H[0][1] != H[1][0]:
+            raise ValueError("hessian must be symmetric")
 
     @staticmethod
     def binary(a: int, b: int, c: int) -> "QuadForm":
         return QuadForm(((2 * a, b), (b, 2 * c)))
 
     @staticmethod
-    def diagonal(*coeffs: int) -> "QuadForm":
-        n = len(coeffs)
-        return QuadForm(
-            tuple(tuple(2 * coeffs[i] if i == j else 0 for j in range(n)) for i in range(n))
-        )
+    def diagonal(a: int, c: int) -> "QuadForm":
+        return QuadForm.binary(a, 0, c)
 
     @property
     def abc(self) -> tuple[int, int, int]:
-        if self.n != 2:
-            raise ValueError("not a binary form")
         H = self.hessian
         return H[0][0] // 2, H[0][1], H[1][1] // 2
 
-    def __call__(self, *xs: int) -> int:
-        H = self.hessian
-        return sum(H[i][j] * xs[i] * xs[j] for i in range(self.n) for j in range(self.n)) // 2
-
-    def coefficients(self) -> list[int]:
-        """The form coefficients a_ii and a_ij (i < j)."""
-        H = self.hessian
-        out = [H[i][i] // 2 for i in range(self.n)]
-        out += [H[i][j] for i in range(self.n) for j in range(i + 1, self.n)]
-        return out
+    def __call__(self, x: int, y: int) -> int:
+        a, b, c = self.abc
+        return a * x * x + b * x * y + c * y * y
 
     def is_positive_definite(self) -> bool:
-        if self.n != 2:
-            raise ValueError("definiteness test implemented for binary forms")
         a, _, _ = self.abc
         return a > 0 and det_hessian(self) > 0
 
     def transform(self, t: tuple[tuple[int, int], tuple[int, int]]) -> "QuadForm":
-        """The binary form f(T(x, y)) for an integer matrix T (columns = images)."""
+        """The form f(T(x, y)) for an integer matrix T (columns = images)."""
         a, b, c = self.abc
         (p, q), (r, s) = t
         a2 = a * p * p + b * p * r + c * r * r
@@ -91,23 +65,18 @@ class QuadForm:
 
 
 def det_hessian(f: QuadForm) -> int:
-    """Determinant of the Hessian matrix (4ac - b^2 for binary forms)."""
+    """Determinant 4ac - b^2 of the Hessian matrix."""
     H = f.hessian
-    if f.n == 1:
-        return H[0][0]
     return H[0][0] * H[1][1] - H[0][1] ** 2
 
 
 def is_primitive(f: QuadForm) -> bool:
-    """True iff the form coefficients have content 1 (gcd(a, b, c) for binary)."""
+    """True iff gcd(a, b, c) = 1."""
     return content(f) == 1
 
 
 def content(f: QuadForm) -> int:
-    g = 0
-    for x in f.coefficients():
-        g = gcd(g, x)
-    return g
+    return gcd(*f.abc)
 
 
 def _is_reduced(a: int, b: int, c: int) -> bool:
@@ -124,8 +93,6 @@ def reduce_binary(f: QuadForm) -> QuadForm:
     The output satisfies |b| <= a <= c with b >= 0 whenever a = c or a = |b|,
     and is properly equivalent (det +1 change of variables) to the input.
     """
-    if f.n != 2:
-        raise ValueError("reduce_binary needs a binary form")
     if not f.is_positive_definite():
         raise ValueError("reduce_binary needs a positive-definite form")
     a, b, c = f.abc
@@ -185,15 +152,15 @@ def automorphism_count(f: QuadForm) -> int:
 
     Contains -identity, so the count is always even.
     """
-    if f.n != 2 or not f.is_positive_definite():
-        raise ValueError("automorphism_count needs a positive-definite binary form")
+    if not f.is_positive_definite():
+        raise ValueError("automorphism_count needs a positive-definite form")
     return len(_automorphisms(f))
 
 
 def proper_automorphism_count(f: QuadForm) -> int:
     """Order of the proper (determinant +1) automorphism group."""
-    if f.n != 2 or not f.is_positive_definite():
-        raise ValueError("proper_automorphism_count needs a positive-definite binary form")
+    if not f.is_positive_definite():
+        raise ValueError("proper_automorphism_count needs a positive-definite form")
     return sum(1 for (p, q), (r, s) in _automorphisms(f) if p * s - q * r == 1)
 
 
@@ -247,51 +214,25 @@ def improper_classes(S: int) -> list[list[QuadForm]]:
 
 def hasse_invariant(f: QuadForm, place) -> int:
     """Hasse invariant of the rational quadratic space at a place: the product
-    of pairwise Hilbert symbols (a_i, a_j), i < j, over any diagonalization.
+    of pairwise Hilbert symbols over any diagonalization.
 
-    Rank 1 has the empty product 1.  A binary space is <x, det_G/x> for any
-    value x != 0 it takes, so c_v = (x, -det_G)_v with det_G = det_H/4;
-    x = a, else c, else Q(e1 + e2) = b when a = c = 0.
+    A binary space is <x, det_G/x> for any value x != 0 it takes, so
+    c_v = (x, -det_G)_v with det_G = det_H/4; x = a, else c, else
+    Q(e1 + e2) = b when a = c = 0.
     """
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
-    if f.n == 1:
-        return 1
     a, b, c = f.abc
     return hilbert_symbol(a or c or b, Fraction(-d, 4), place)
 
 
 def scale_hasse(u, f: QuadForm, place) -> int:
-    """Hasse invariant of the u-scaled space by the closed scaling law
-    c(uV) = (u,u)^(n(n-1)/2) * (u, det_G)^(n-1) * c(V), with no rediagonalization."""
+    """Hasse invariant of the u-scaled space by the closed binary scaling law
+    c(uV) = (u, u)_v (u, det_G)_v c(V), det_G = det_H/4, with no
+    rediagonalization."""
     u = Fraction(u)
     if u == 0:
         raise ValueError("scaling must be nonzero")
-    n = f.n
-    det_G = Fraction(det_hessian(f), 2**n)
     c = hasse_invariant(f, place)
-    e1 = n * (n - 1) // 2
-    e2 = n - 1
-    if e1 % 2:
-        c *= hilbert_symbol(u, u, place)
-    if e2 % 2:
-        c *= hilbert_symbol(u, det_G, place)
-    return c
-
-
-@dataclass(frozen=True)
-class SignatureVector:
-    """Real signature (plus, minus) of a rank-n rational quadratic space."""
-
-    plus: int
-    minus: int
-
-    @property
-    def n(self) -> int:
-        return self.plus + self.minus
-
-    def eps_infty(self) -> int:
-        """Hasse invariant at the real place of any space with this signature."""
-        m = self.minus
-        return -1 if (m * (m - 1) // 2) % 2 else 1
+    return c * hilbert_symbol(u, u, place) * hilbert_symbol(u, Fraction(det_hessian(f), 4), place)

@@ -119,8 +119,6 @@ def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
 
 def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     """2-adic genus invariant of a primitive integral binary form."""
-    if f.n != 2:
-        raise ValueError("binary form required")
     if content(f) % 2 == 0:
         raise ValueError("genus_symbol_2 needs a 2-adically primitive form")
     d = det_hessian(f)

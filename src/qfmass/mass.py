@@ -1,5 +1,5 @@
-"""p-masses, local densities, generic local densities, archimedean constants,
-and exact mass comparisons between genera.
+"""p-masses, local densities, generic local densities, and exact mass
+comparisons between genera of binary forms.
 
 p-masses are kept as exact values r * q^(k/2) so the sqrt-q factors never
 become floats; converting to a local density must cancel every half power,
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arith import gamma_factor
 from .forms import QuadForm, det_hessian
-from .localgenus import LocalGenusSymbol, OddGenusSymbol, TwoAdicGenusSymbol
+from .localgenus import LocalGenusSymbol, OddGenusSymbol
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,6 @@ class HalfPower:
     p: int
     coeff: Fraction
     half_exponent: int
-
-    def __mul__(self, other: "HalfPower") -> "HalfPower":
-        if self.p != other.p:
-            raise ValueError("mismatched bases")
-        return HalfPower(self.p, self.coeff * other.coeff, self.half_exponent + other.half_exponent)
 
     def times_power(self, half_exponent: int) -> "HalfPower":
         return HalfPower(self.p, self.coeff, self.half_exponent + half_exponent)
@@ -41,19 +36,6 @@ class HalfPower:
         if not self.is_rational():
             raise ValueError(f"live half exponent {self.half_exponent} at p={self.p}")
         return self.coeff * Fraction(self.p) ** (self.half_exponent // 2)
-
-
-@dataclass(frozen=True)
-class PiPower:
-    """Exact value coeff * pi^pi_exponent."""
-
-    coeff: Fraction
-    pi_exponent: int
-
-    def numeric(self) -> float:
-        import math
-
-        return float(self.coeff) * math.pi**self.pi_exponent
 
 
 def p_mass(g: LocalGenusSymbol) -> HalfPower:
@@ -133,29 +115,6 @@ def count_SO_mod_p(f: QuadForm, p: int) -> int:
                     if b2 == b % p:
                         count += 1
     return count
-
-
-_GAMMA_HALF_PRODUCTS = {
-    # exact Gamma(1/2) * ... * Gamma(r/2) as coeff * pi^(e/2), stored (coeff, e)
-    0: (Fraction(1), 0),
-    1: (Fraction(1), 1),
-    2: (Fraction(1), 1),
-    3: (Fraction(1, 2), 2),
-    4: (Fraction(1, 2), 2),
-}
-
-
-def archimedean_V(r: int) -> PiPower:
-    """The archimedean volume constant V(r) = pi^(r(r+1)/4) / (2 prod Gamma(i/2)),
-    exact for r <= 4 where the Gamma product stays a rational times a power
-    of sqrt(pi).  V(2) = pi/2 is the rank-2 value used downstream."""
-    if not 0 <= r <= 4:
-        raise ValueError("archimedean_V is exact only for 0 <= r <= 4")
-    gcoeff, ghalf = _GAMMA_HALF_PRODUCTS[r]
-    half = r * (r + 1) // 2 - ghalf  # total exponent of sqrt(pi)
-    if half % 2:
-        raise ValueError("non-integer pi power")  # cannot happen for r <= 4
-    return PiPower(Fraction(1, 2) / gcoeff, half // 2)
 
 
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:

@@ -6,13 +6,14 @@ from bisect import bisect_left
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfmass import arith
 from qfmass.arith import (
     NQR,
     OO,
     QR,
-    GlobalDeterminant,
     LocalSquareClass,
     chi,
     factor,
@@ -267,6 +268,33 @@ def test_hilbert_product_formula():
         assert prod == 1, (a, b)
 
 
+# random nonzero rationals with small numerators and denominators
+nonzero_int = st.integers(-10**4, 10**4).filter(bool)
+rational = st.builds(Fraction, nonzero_int, st.integers(1, 10**3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational, rational, rational)
+def test_hilbert_on_rationals_symmetric_and_bimultiplicative(a, b, c):
+    for place in (2, 3, 5, 7, OO):
+        assert hilbert_symbol(a, b, place) == hilbert_symbol(b, a, place), (a, b, place)
+        assert hilbert_symbol(a * b, c, place) == hilbert_symbol(
+            a, c, place
+        ) * hilbert_symbol(b, c, place), (a, b, c, place)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational, rational)
+def test_hilbert_product_formula_on_rationals(a, b):
+    support = {OO, 2}
+    for n in (a.numerator, a.denominator, b.numerator, b.denominator):
+        support |= {p for p, _ in factor(abs(n))}
+    prod = 1
+    for v in support:
+        prod *= hilbert_symbol(a, b, v)
+    assert prod == 1, (a, b)
+
+
 def test_hilbert_accepts_fractions():
     assert hilbert_symbol(Fraction(1, 2), Fraction(3, 4), 2) == hilbert_symbol(2, 3, 2)
 
@@ -325,11 +353,7 @@ def test_local_squareclass_group_law():
     assert (a * a).unit == QR
 
 
-def test_global_determinant():
-    S = GlobalDeterminant.of(360)
-    assert S.factorization == ((2, 3), (3, 2), (5, 1))
-    assert S.ideal() == 360
-    assert not S.is_square_ideal()
-    assert S.localize(2) == LocalSquareClass.of(360, 2)
-    assert S.localize(3).val == 2
-    assert GlobalDeterminant.of(36).is_square_ideal()
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero_int, nonzero_int, st.sampled_from((2, 3, 5, 7, 11)))
+def test_local_squareclass_of_is_multiplicative(m, n, p):
+    assert LocalSquareClass.of(m * n, p) == LocalSquareClass.of(m, p) * LocalSquareClass.of(n, p)

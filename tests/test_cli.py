@@ -73,6 +73,15 @@ def test_classify_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["det"] == 23
 
 
+@pytest.mark.parametrize("command", ["classify --det 23", "euler --p 5 --unit 1 --which A"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, *command.split(), "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_euler_coefficients(capsys):
     code, out, _ = run_cli(capsys, "euler", "--p", "5", "--unit", "1", "--which", "B", "--terms", "6")
     assert code == 0
@@ -141,6 +150,13 @@ def test_verify_closed_forms_emits_ledger(capsys):
 def test_verify_rejects_bad_tol(capsys):
     code, _, _ = run_cli(capsys, "verify", "class-number", "--tol", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_rejects_non_finite_tol(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "class-number", "--dmax", "20", "--prime-bound", "100", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol" in err
 
 
 def test_usage_error_exit_code():

@@ -11,7 +11,6 @@ from qfmass.globalmass import genus_census
 from qfmass.localgenus import enumerate_local_genera, jordan_split_odd, local_symbol
 from qfmass.mass import (
     HalfPower,
-    archimedean_V,
     count_SO_mod_p,
     density_ratio,
     generic_density_inverse,
@@ -53,13 +52,12 @@ def test_p_mass_two_adic_rows():
 
 def test_half_power_arithmetic():
     x = HalfPower(2, Fraction(3), 1)
-    y = HalfPower(2, Fraction(1, 2), 3)
-    assert x * y == HalfPower(2, Fraction(3, 2), 4)
-    assert (x * y).as_fraction() == Fraction(3, 2) * 4
+    y = x.scale(Fraction(1, 2)).times_power(3)
+    assert y == HalfPower(2, Fraction(3, 2), 4)
+    assert y.is_rational() and y.as_fraction() == Fraction(3, 2) * 4
+    assert not x.is_rational()
     with pytest.raises(ValueError):
         x.as_fraction()
-    with pytest.raises(ValueError):
-        x * HalfPower(3, Fraction(1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +122,6 @@ def test_hensel_consistency():
             assert count in (p - 1, p + 1)
             sym = jordan_split_odd(f, p)
             assert local_density_inverse(sym) == Fraction(p, count)
-
-
-# ---------------------------------------------------------------------------
-# archimedean constants
-
-
-def test_archimedean_V():
-    assert archimedean_V(2).coeff == Fraction(1, 2) and archimedean_V(2).pi_exponent == 1
-    assert archimedean_V(0).coeff == Fraction(1, 2) and archimedean_V(0).pi_exponent == 0
-    assert archimedean_V(1).coeff == Fraction(1, 2) and archimedean_V(1).pi_exponent == 0
-    assert archimedean_V(3).coeff == 1 and archimedean_V(3).pi_exponent == 2
-    assert archimedean_V(4).coeff == 1 and archimedean_V(4).pi_exponent == 4
-    with pytest.raises(ValueError):
-        archimedean_V(5)
 
 
 # ---------------------------------------------------------------------------
