@@ -104,11 +104,17 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 
 def valuation(m: int, p: int) -> int:
-    """Largest k with p^k | m.  Rejects m = 0."""
-    if m == 0:
-        raise ValueError("valuation of 0 is undefined")
+    """Largest k with p^k | m.  Rejects m = 0 and p not prime."""
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _valuation(m, p)
+
+
+def _valuation(m: int, p: int) -> int:
+    """`valuation` for a p the caller has checked to be prime; p = 1 or
+    p = 0 would loop forever or divide by zero.  Rejects m = 0."""
+    if m == 0:
+        raise ValueError("valuation of 0 is undefined")
     k = 0
     m = abs(m)
     while m % p == 0:
@@ -165,11 +171,12 @@ def smallest_nonresidue(p: int) -> int:
 
 
 def _split(x: Fraction | int, p: int) -> tuple[int, Fraction]:
-    """x = p^alpha * u with u a p-adic unit; returns (alpha, u)."""
+    """x = p^alpha * u with u a p-adic unit, p a checked prime; returns
+    (alpha, u)."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("nonzero value required")
-    alpha = valuation(x.numerator, p) - valuation(x.denominator, p)
+    alpha = _valuation(x.numerator, p) - _valuation(x.denominator, p)
     return alpha, x / Fraction(p) ** alpha
 
 
@@ -203,9 +210,9 @@ def hilbert_symbol(a, b, place) -> int:
         if alpha % 2 and beta % 2 and p % 4 == 3:
             sign = -sign
         if beta % 2:
-            sign *= legendre(uu, p)
+            sign *= kronecker(uu, p)
         if alpha % 2:
-            sign *= legendre(ww, p)
+            sign *= kronecker(ww, p)
         return sign
     uu = _unit_mod(u, 8)
     ww = _unit_mod(w, 8)
@@ -268,9 +275,11 @@ class LocalSquareClass:
 
     @staticmethod
     def of(m: int, p: int) -> "LocalSquareClass":
-        """The squareclass of a nonzero integer m at p."""
-        v = valuation(m, p)
+        """The squareclass of a nonzero integer m at a prime p."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        v = _valuation(m, p)
         u = m // p**v if m > 0 else -((-m) // p**v)
         if p == 2:
             return LocalSquareClass(2, v, u % 8)
-        return LocalSquareClass(p, v, legendre(u, p))
+        return LocalSquareClass(p, v, kronecker(u, p))

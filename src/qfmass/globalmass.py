@@ -61,8 +61,8 @@ def kappa(S: int) -> int:
 # ---------------------------------------------------------------------------
 # Dirichlet L-values by truncated character sums
 
-# Most terms an L-value may use.  M terms cost about 32 M bytes of float64
-# arrays at peak and keep a sieve of the primes <= M for the process.
+# Most terms an L-value may use.  M terms cost about 17 M bytes of arrays at
+# peak and keep a sieve of the primes <= M for the process.
 L_TERMS_MAX = 10**7
 
 
@@ -70,19 +70,85 @@ def _char_period(D: int) -> int:
     return abs(D) if D % 4 in (0, 1) else 4 * abs(D)
 
 
+def _legendre_table(p: int) -> np.ndarray:
+    """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares mod p."""
+    leg = np.full(p, -1, dtype=np.int8)
+    leg[0] = 0
+    i = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    leg[i * i % p] = 1
+    return leg
+
+
 def _char_table(D: int) -> np.ndarray:
+    """chi_D = (D|.) over one period P as int8: entry r is kronecker(D, r)
+    for 0 < r < P, and entry 0 is kronecker(D, P), so table[m % P] = chi_D(m)
+    for every m >= 1.
+
+    (D|r) is completely multiplicative in r.  Write r = 2^k r' with r' odd
+    and |D| = 2^a prod p^e over odd primes p.  Then
+    (D|r) = (D|2)^k (sign D|r') (2|r')^a prod (p|r')^e, where
+    - (D|2) is 0 for even D, +1 for D = +-1 and -1 for D = +-3 (mod 8);
+    - (-1|r') = -1 iff r' = 3 (mod 4), and (2|r') = -1 iff r' = 3, 5 (mod 8);
+    - for even e, (p|r')^e is 0 on the multiples of p and 1 elsewhere;
+    - for odd e, reciprocity gives (p|r') = (r'|p) (-1)^((p-1)/2 (r'-1)/2),
+      a Legendre table lookup at r' mod p.  The reciprocity signs and the
+      sign of D combine into one factor -1 on r' = 3 (mod 4).
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.4.)
+    """
     P = _char_period(D)
-    return np.array([kronecker(D, r) if r else kronecker(D, P) for r in range(P)], dtype=np.int8)
+    odd = np.arange(P, dtype=np.int64)
+    low = odd & -odd  # 2^k
+    low[0] = 1  # no 0 // 0 at r = 0, whose entry is set last
+    odd //= low  # r'
+    table = np.ones(P, dtype=np.int8)
+    if D % 2 == 0:
+        table[low > 1] = 0
+    elif D % 8 in (3, 5):
+        table[(low & 0x2AAAAAAAAAAAAAAA) != 0] = -1  # k odd
+    mod4_sign = D < 0
+    for p, e in factor(abs(D)):
+        if p == 2:
+            if e % 2:
+                table[(odd % 8 == 3) | (odd % 8 == 5)] *= -1
+        elif e % 2:
+            table *= _legendre_table(p)[odd % p]
+            mod4_sign ^= p % 4 == 3
+        else:
+            table[::p] = 0
+    if mod4_sign:
+        table[odd % 4 == 3] *= -1
+    table[0] = kronecker(D, P)
+    return table
 
 
 @dataclass
 class LTruncation:
     """Truncated evaluation of L(1, (D|.)) = prod (1 - (D|p)/p)^-1.
 
-    `value` is the Abel-summed character sum (the accurate estimate);
-    `euler_value` is the raw Euler product over primes <= prime_bound.
-    `error_estimate` = 4P^2/M^2 (character period P, M terms) is a heuristic
-    size for the Abel tail, not a proven bound on |value - L(1, chi)|.
+    `value` is the Abel-summed character sum over M = `prime_bound` terms
+    (the accurate estimate); `euler_value` is the raw Euler product over
+    primes <= M.  `error_estimate` = e1 + e2 is a proven bound on
+    |value - L(1, chi_D)|.
+
+    Truncation, e1.  Let T(m) = sum_{n<=m} chi(n) and T_bar its mean over a
+    period P.  For D < 0, D != 3 (mod 4), chi_D is a nonprincipal character
+    of period P, so T(P) = 0 and T has period P.  Abel summation gives
+    L = sum_{m>=1} T(m)/(m(m+1)), and sum_{m>M} 1/(m(m+1)) = 1/(M+1), so for
+    value = sum_{m<=M} chi(m)/m + (T_bar - T(M))/(M+1)
+        L - value = sum_{m>M} g(m) w(m),  g = T - T_bar,  w(m) = 1/(m(m+1)).
+    g sums to 0 over a period, so U(n) = sum_{m<=n} g(m) has period P too;
+    let B = max |U|.  Summation by parts,
+        sum_{m>M} g(m) w(m) = -U(M) w(M+1) + sum_{m>M} U(m) (w(m) - w(m+1)),
+    with w decreasing to 0, gives |L - value| <= 2B w(M+1) = e1 =
+    2B/((M+1)(M+2)).  B = max |P U| / P with P U exact in integers.
+
+    Rounding, e2.  chi(m) fl(1/m) is within u = 2^-53 of chi(m)/m relatively,
+    and summing M terms in any order adds at most gamma_{M-1} sum |chi(m)|/m,
+    gamma_n = n u/(1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), where sum_{m<=M} 1/m <= ln M + 1.  The Abel correction
+    (size < 0.1, as M >= 10P) and the final addition add a few roundings
+    more.  All of it, and the rounding of e1 + e2 itself, lies within
+    e2 = gamma_{M+2} (ln M + 2).
     """
 
     D: int
@@ -105,11 +171,26 @@ def _euler_product(table: np.ndarray, M: int) -> float:
     return float(np.divide.reduce(np.concatenate(([1.0], factors))))
 
 
+def _error_bound(table: np.ndarray, M: int) -> float:
+    """e1 + e2 of `LTruncation` for M terms, with B exact from the table."""
+    P = len(table)
+    T = np.cumsum(np.roll(table, -1), dtype=np.int64)  # T(1), ..., T(P)
+    # P U(n) = sum_{m<=n} (P T(m) - sum T), at most P^3 in size: P <= 10^6 fits int64
+    PU = np.cumsum(P * T - int(T.sum()))
+    e1 = 2 * (int(np.abs(PU).max()) / P) / ((M + 1) * (M + 2))
+    nu = (M + 2) * 2.0**-53
+    return e1 + nu / (1 - nu) * (math.log(M) + 2)
+
+
 def _l_terms(D: int, prime_bound: int) -> int:
     """The number of terms M = max(prime_bound, 10 P) an L-value of chi_D
-    uses; refuses bad arguments and any M above L_TERMS_MAX."""
+    uses; refuses D >= 0, D = 3 (mod 4), a bound below 100 and any M above
+    L_TERMS_MAX."""
     if D >= 0:
         raise ValueError("negative discriminant-like D required")
+    if D % 4 == 3:
+        # (D|2^k) = (D|2)^k and (D|2) != 0: (D|.) has no period to sum over
+        raise ValueError(f"D = {D} is 3 mod 4, where (D|.) is not periodic")
     if prime_bound < 100:
         raise ValueError("prime_bound must be at least 100")
     # the Abel correction needs several full periods of partial sums
@@ -123,23 +204,29 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     """Evaluate L(1, chi_D) for the Kronecker symbol chi_D = (D|.), D < 0.
 
     The character sum sum chi(m)/m is conditionally convergent; Abel
-    summation against the periodic partial sums gives an O((P/bound)^2)
-    tail, far below the raw-product error at the same bound.  The number of
-    terms M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
-    refused before any table, array or sieve is built.
+    summation against the periodic partial sums leaves a tail of at most
+    2B/((M+1)(M+2)) (see `LTruncation`), far below the raw-product error at
+    the same bound.  The number of terms M = max(prime_bound, 10 P) is
+    capped at L_TERMS_MAX: a larger M is refused before any table, array or
+    sieve is built.
     """
     M = _l_terms(D, prime_bound)
     P = _char_period(D)
     table = _char_table(D)
     # before the Abel arrays, so the two peaks do not add up
     euler = _euler_product(table, M)
+    err = _error_bound(table, M)
     m = np.arange(1, M + 1)
-    chi_vals = table[m % P].astype(np.float64)
-    partial = float(np.dot(chi_vals, 1.0 / m))
+    chi = table[m % P]
+    inv = 1.0 / m
+    # at most two M-term 8-byte arrays alive at once: they set the peak RSS
+    del m
+    chi_vals = chi.astype(np.float64)
+    partial = float(np.dot(chi_vals, inv))
+    del inv
     T = np.cumsum(chi_vals)
     T_mean = float(T[:P].mean())
     abel = partial + (T_mean - float(T[-1])) / (M + 1)
-    err = 4.0 * P * P / (M * M) + 1e-12
     return LTruncation(D=D, prime_bound=M, value=abel, euler_value=euler, error_estimate=err)
 
 

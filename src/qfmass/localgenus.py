@@ -16,7 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .arith import NQR, QR, LocalSquareClass, factor, hilbert_symbol, legendre, smallest_nonresidue, valuation
+from .arith import (
+    NQR,
+    QR,
+    LocalSquareClass,
+    _valuation,
+    factor,
+    hilbert_symbol,
+    is_prime,
+    kronecker,
+    smallest_nonresidue,
+)
 from .forms import QuadForm, content, det_hessian, hasse_invariant
 
 SHAPE_BAR2 = "(2bar)"
@@ -97,23 +107,23 @@ def _canonical_lead(nu: int, u1: int) -> int | None:
 
 def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
     """Jordan splitting of a nondegenerate binary form over Z_p, p odd."""
-    if p == 2:
+    if p == 2 or not is_prime(p):
         raise ValueError("jordan_split_odd needs an odd prime")
     a, b, c = f.abc
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
-    k = min(valuation(x, p) for x in (a, b, c) if x != 0)
+    k = min(_valuation(x, p) for x in (a, b, c) if x != 0)
     a, b, c = a // p**k, b // p**k, c // p**k
     d = 4 * a * c - b * b
-    nu = valuation(d, p)
+    nu = _valuation(d, p)
     if nu == 0:
-        return OddGenusSymbol(p, ((k, 2, legendre(d, p)),))
+        return OddGenusSymbol(p, ((k, 2, kronecker(d, p)),))
     # primitive at p with positive valuation: a or c is a p-unit
     u1 = a if a % p else c
     strip = d // p**nu
-    tag1 = legendre(u1, p)
-    tag2 = legendre(strip, p) * tag1
+    tag1 = kronecker(u1, p)
+    tag2 = kronecker(strip, p) * tag1
     return OddGenusSymbol(p, ((k, 1, tag1), (k + nu, 1, tag2)))
 
 
@@ -124,7 +134,7 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
-    nu = valuation(d, 2)
+    nu = _valuation(d, 2)
     unit = (d >> nu) % 8
     if nu == 0:
         # even-unimodular row: table label, not the pairwise-symbol value

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 from bisect import bisect_left
+from contextlib import contextmanager
 from math import isqrt
 
 import pytest
@@ -28,7 +30,9 @@ from qfmass.arith import (
 )
 from fractions import Fraction
 
+from qfmass.forms import QuadForm
 from qfmass.globalmass import l_value_truncated
+from qfmass.localgenus import jordan_split_odd
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,38 @@ def test_valuation_examples():
 def test_valuation_rejects_zero():
     with pytest.raises(ValueError):
         valuation(0, 5)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_prime_checks_reject_non_primes_without_hanging():
+    # each entry point checks p once; past the check, valuations loop on p | m
+    # and would never end at p = 1
+    f = QuadForm.binary(1, 1, 3)
+    calls = [
+        lambda: valuation(12, 1),
+        lambda: jordan_split_odd(f, 1),
+        lambda: jordan_split_odd(f, 9),
+        lambda: LocalSquareClass.of(12, 1),
+        lambda: LocalSquareClass.of(12, 4),
+    ]
+    for call in calls:
+        with time_limit(2.0), pytest.raises(ValueError):
+            call()
 
 
 def test_factor_roundtrip():
@@ -343,6 +379,15 @@ def test_local_squareclass_tags():
     assert LocalSquareClass.of(12, 3) == LocalSquareClass(3, 1, legendre(4, 3))
 
 
+def test_local_squareclass_of_negative_integers():
+    # -1 is not a square in Q_2, nor in Q_p for p = 3 (mod 4)
+    assert LocalSquareClass.of(-1, 2) == LocalSquareClass(2, 0, 7)
+    assert LocalSquareClass.of(-12, 2) == LocalSquareClass(2, 2, 5)
+    assert LocalSquareClass.of(-3, 5) == LocalSquareClass(5, 0, NQR)
+    assert LocalSquareClass.of(-1, 3) == LocalSquareClass(3, 0, NQR)
+    assert LocalSquareClass.of(-1, 5) == LocalSquareClass(5, 0, QR)
+
+
 def test_local_squareclass_group_law():
     x = LocalSquareClass.of(6, 2)
     y = LocalSquareClass.of(10, 2)
@@ -357,3 +402,9 @@ def test_local_squareclass_group_law():
 @given(nonzero_int, nonzero_int, st.sampled_from((2, 3, 5, 7, 11)))
 def test_local_squareclass_of_is_multiplicative(m, n, p):
     assert LocalSquareClass.of(m * n, p) == LocalSquareClass.of(m, p) * LocalSquareClass.of(n, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero_int, st.sampled_from((2, 3, 5, 7, 11)))
+def test_local_squareclass_of_negation(m, p):
+    assert LocalSquareClass.of(-m, p) == LocalSquareClass.of(-1, p) * LocalSquareClass.of(m, p)

@@ -301,7 +301,7 @@ def test_hasse_product_formula_over_enumerated_forms():
             assert prod == 1, f.abc
 
 
-def test_scale_hasse_identity_and_unary():
+def test_scale_hasse_by_one_is_identity():
     f = QuadForm.binary(2, 1, 3)
     for place in (2, 3, 23, OO):
         assert scale_hasse(1, f, place) == hasse_invariant(f, place)

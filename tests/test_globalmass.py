@@ -9,7 +9,7 @@ import pytest
 from scipy.special import digamma
 
 from qfmass import arith, globalmass
-from qfmass.arith import primes_below
+from qfmass.arith import kronecker, primes_below
 from qfmass.forms import QuadForm
 from qfmass.globalmass import (
     L_TERMS_MAX,
@@ -31,12 +31,19 @@ from qfmass.globalmass import (
 )
 
 
+def kronecker_table(D: int) -> list[int]:
+    """chi_D over one period from scalar kronecker calls, entry 0 being
+    chi_D(P); the oracle for `_char_table`."""
+    P = _char_period(D)
+    return [kronecker(D, r) if r else kronecker(D, P) for r in range(P)]
+
+
 def l_value_by_digamma(D: int) -> float:
     """Exact L(1, chi_D) via the digamma closed form
     -(1/P) sum chi(r) psi(r/P); the independent oracle for the truncation."""
     P = _char_period(D)
-    table = _char_table(D)
-    return -sum(float(table[r]) * digamma(r / P) for r in range(1, P)) / P
+    table = kronecker_table(D)
+    return -sum(table[r] * digamma(r / P) for r in range(1, P)) / P
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +117,34 @@ def test_kappa_is_one_on_integers():
 # L-values
 
 
+@pytest.mark.parametrize(
+    "Ds",
+    [pytest.param(range(-3000, 0), id="-3000..-1")]
+    + [
+        pytest.param((D,), id=str(D))
+        for D in (-99999, -100003, -104000, -95003, -104999, -999999, -999996, -999997,
+                  -2**19, -3 * 5**8, -4 * 7**6)
+    ],
+)
+def test_char_table_equals_kronecker(Ds):
+    for D in Ds:
+        table = _char_table(D)
+        assert table.dtype == np.int8 and np.array_equal(table, kronecker_table(D)), D
+
+
 @pytest.mark.parametrize("D", [-3, -4, -23, -84, -163, -499])
 def test_l_truncation_against_digamma_oracle(D):
     trunc = l_value_truncated(D, 10**5)
     exact = l_value_by_digamma(D)
     assert abs(trunc.value - exact) <= trunc.error_estimate
     assert abs(trunc.euler_value - exact) < 5e-2  # raw product converges slowly
+
+
+@pytest.mark.parametrize("D,bound", [(-3, 100), (-4, 100), (-8, 100), (-23, 100), (-6, 1000), (-150, 10**4)])
+def test_l_error_bound_holds_at_short_truncations(D, bound):
+    # M close to 10 P: the actual error is 16-50% of the proven bound here
+    trunc = l_value_truncated(D, bound)
+    assert abs(trunc.value - l_value_by_digamma(D)) <= trunc.error_estimate
 
 
 def test_l_known_values():
@@ -129,15 +158,16 @@ def test_l_truncation_validation():
         l_value_truncated(5)
     with pytest.raises(ValueError):
         l_value_truncated(-3, 10)
+    for D in (-1, -5, -9997):  # 3 mod 4: (D|2^k) = (D|2)^k has no period
+        with pytest.raises(ValueError, match="3 mod 4"):
+            l_value_truncated(D)
 
 
 def euler_product_by_loop(D: int, M: int) -> float:
     """The raw Euler product as a scalar loop over the primes <= M."""
-    P = _char_period(D)
-    table = _char_table(D)
     euler = 1.0
     for p in primes_below(M + 1):
-        cp = int(table[p % P])
+        cp = kronecker(D, p)
         if cp:
             euler /= 1.0 - cp / p
     return euler
@@ -170,7 +200,7 @@ def test_l_truncation_stability_under_bound_increase():
     for D in (-20, -23):
         t1 = l_value_truncated(D, 10**5)
         t2 = l_value_truncated(D, 2 * 10**5)
-        assert abs(t1.value - t2.value) <= t1.error_estimate
+        assert abs(t1.value - t2.value) <= t1.error_estimate + t2.error_estimate
 
 
 # ---------------------------------------------------------------------------
