@@ -269,10 +269,6 @@ class LocalSquareClass:
             return self.unit
         return 1 if self.unit == QR else smallest_nonresidue(self.p)
 
-    def normalized_unit(self) -> "LocalSquareClass":
-        """The associated normalized squareclass (valuation stripped)."""
-        return LocalSquareClass(self.p, 0, self.unit)
-
     @staticmethod
     def of(m: int, p: int) -> "LocalSquareClass":
         """The squareclass of a nonzero integer m at a prime p."""

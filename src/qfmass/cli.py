@@ -24,6 +24,7 @@ from .euler import (
 )
 from .globalmass import (
     SCHEMA_VERSION,
+    _l_terms,
     dirichlet_check,
     is_fundamental_discriminant,
     report_csv_rows,
@@ -46,11 +47,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_range(args) -> list[int] | None:
+def _parse_range(args) -> range | None:
     if args.det is not None:
         if args.det < 1:
             return None
-        return [args.det]
+        return range(args.det, args.det + 1)
     lo, sep, hi = args.det_range.partition(":")
     if not sep:
         return None
@@ -60,13 +61,17 @@ def _parse_range(args) -> list[int] | None:
         return None
     if lo_i < 1 or hi_i < lo_i:
         return None
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def cmd_classify(args) -> int:
     dets = _parse_range(args)
     if dets is None:
         return _fail_usage("classify needs --det S >= 1 or --det-range LO:HI")
+    # L-value sizes grow with S: refuse the largest realizable S before any census
+    top = max((S for S in dets[-4:] if S % 4 in (0, 3)), default=None)
+    if top is not None:
+        _l_terms(-top, args.prime_bound)
     objs = [report_json_obj(S, args.prime_bound) for S in dets]
     if args.format == "json":
         _emit(report_json_str(objs), args.out)

@@ -13,10 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .arith import LocalSquareClass, chi, factor, gamma_factor
-from .forms import QuadForm, _automorphisms, enumerate_classes
+from .forms import QuadForm, enumerate_classes, mu_order
 from .localgenus import LocalGenusSymbol, enumerate_local_genera, local_symbol
 from .mass import density_ratio
 
@@ -31,60 +31,14 @@ def _trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return cs[:n]
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(tuple(out))
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim(tuple(out))
-
-
-def _poly_neg(a):
-    return tuple(-x for x in a)
-
-
-def _poly_divmod(a, b):
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and _trim(tuple(r)):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for i, y in enumerate(b):
-            r[shift + i] -= c * y
-        r = list(_trim(tuple(r)))
-        if not r:
-            break
-    return _trim(tuple(q)), _trim(tuple(r))
-
-
-def _poly_gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, a = _poly_divmod(a, b)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Ratio of polynomials in one indeterminate X with exact rational
-    coefficients, reduced, with denominator constant term normalized to 1."""
+    coefficients, trimmed, with denominator constant term normalized to 1.
+
+    Only the closed forms build these, and no closed-form numerator vanishes
+    at a root of its denominator, so no common factor is cancelled.
+    """
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
@@ -95,35 +49,12 @@ class RationalFunction:
         den = _trim(tuple(Fraction(x) for x in den))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = _poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _poly_divmod(num, g)
-            den, _ = _poly_divmod(den, g)
-        if den[0] != 0:
-            scale = den[0]
-        else:
-            scale = den[-1]
-        num = tuple(x / scale for x in num)
-        den = tuple(x / scale for x in den)
-        return RationalFunction(num, den)
+        scale = den[0] if den[0] != 0 else den[-1]
+        return RationalFunction(tuple(x / scale for x in num), tuple(x / scale for x in den))
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction.make((), (1,))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + RationalFunction.make(_poly_neg(other.num), other.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            _poly_mul(self.num, other.num), _poly_mul(self.den, other.den)
-        )
+        return RationalFunction.make(())
 
     def series(self, terms: int) -> list[Fraction]:
         """First `terms` Taylor coefficients at X = 0 by long division."""
@@ -156,10 +87,6 @@ def normalized_mass_sum(p: int, S_p: LocalSquareClass, eps: int) -> Fraction:
     return total
 
 
-def _unit_class(p: int, u: int) -> LocalSquareClass:
-    return LocalSquareClass.of(u, p).normalized_unit()
-
-
 @lru_cache(maxsize=None)
 def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
     S_p = LocalSquareClass(p, nu, unit)
@@ -170,12 +97,12 @@ def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
 
 def a_coeff(p: int, u: int, nu: int) -> Fraction:
     """A_p(u * p^nu) = M~^+ + M~^-, from the enumeration pipeline."""
-    return _ab_coeff(p, _unit_class(p, u).unit, nu)[0]
+    return _ab_coeff(p, LocalSquareClass.of(u, p).unit, nu)[0]
 
 
 def b_coeff(p: int, u: int, nu: int) -> Fraction:
     """B_p(u * p^nu) = M~^+ - M~^-, from the enumeration pipeline."""
-    return _ab_coeff(p, _unit_class(p, u).unit, nu)[1]
+    return _ab_coeff(p, LocalSquareClass.of(u, p).unit, nu)[1]
 
 
 def closed_form(p: int, u: int, which: str, variant: str = "table") -> RationalFunction:
@@ -238,39 +165,16 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 @dataclass(frozen=True)
 class GenusRecord:
     """One genus of primitive proper classes of a determinant: its classes in
-    `abc` order, with local symbols and Hasse labels at p | 2S.
-
-    Automorphism orders and the mass are computed on first read, from one
-    automorphism scan per class, and kept.  Records are shared through the
+    `abc` order, with local symbols and Hasse labels at p | 2S, |Aut f| per
+    class and the genus mass.  Records are shared through the
     `genus_partition` memo, so no caller may mutate one.
     """
 
     classes: tuple[QuadForm, ...]
     symbols: dict[int, LocalGenusSymbol]
     labels: dict[int, int]
-
-    @cached_property
-    def _aut_scan(self) -> tuple[list[int], list[int]]:
-        """(|Aut f| per class, |proper Aut f| per class)."""
-        full, proper = [], []
-        for f in self.classes:
-            auts = _automorphisms(f)
-            full.append(len(auts))
-            proper.append(sum(p * s - q * r == 1 for (p, q), (r, s) in auts))
-        return full, proper
-
-    @property
-    def aut_orders(self) -> list[int]:
-        return self._aut_scan[0]
-
-    @property
-    def proper_aut_orders(self) -> list[int]:
-        return self._aut_scan[1]
-
-    @cached_property
-    def mass(self) -> Fraction:
-        """sum over the classes of 1/(2 |proper Aut|)."""
-        return sum((Fraction(1, 2 * so) for so in self.proper_aut_orders), Fraction(0))
+    aut_orders: list[int]
+    mass: Fraction  # sum over the classes of 1/(2 |proper Aut|)
 
 
 @lru_cache(maxsize=1)
@@ -279,8 +183,20 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     only enumeration behind the census.  Classes keep the `abc` order of
     enumerate_classes, within and across genera.  Memoized for the latest
     S: the census and both decomposition checks of one S share one build.
+
+    Automorphism orders come from the closed form for a reduced primitive
+    form of discriminant -S: |proper Aut| = w = mu_order(-S), and |Aut| is 2w
+    when the form is ambiguous (b = 0, a = b or a = c), else w.  So a genus
+    of n classes has mass n/(2w).  `forms.automorphism_count` is the oracle
+    the tests hold this to.
     """
     primes = sorted({2} | {p for p, _ in factor(S)})
+    w = mu_order(-S)
+
+    def aut_order(f: QuadForm) -> int:
+        a, b, c = f.abc
+        return 2 * w if b == 0 or a == b or a == c else w
+
     groups: dict[tuple, tuple[dict, list[QuadForm]]] = {}
     for f in enumerate_classes(S):
         syms = {p: local_symbol(f, p) for p in primes}
@@ -291,6 +207,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
             classes=tuple(classes),
             symbols=syms,
             labels={p: (sym.c2 if p == 2 else sym.hasse()) for p, sym in syms.items()},
+            aut_orders=[aut_order(f) for f in classes],
+            mass=Fraction(len(classes), 2 * w),
         )
         for syms, classes in groups.values()
     )

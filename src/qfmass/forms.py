@@ -164,6 +164,16 @@ def proper_automorphism_count(f: QuadForm) -> int:
     return sum(1 for (p, q), (r, s) in _automorphisms(f) if p * s - q * r == 1)
 
 
+def mu_order(D: int) -> int:
+    """Number of roots of unity in Q(sqrt(D)): the order of the proper
+    automorphism group of every primitive form of discriminant D < 0."""
+    if D == -3:
+        return 6
+    if D == -4:
+        return 4
+    return 2
+
+
 def enumerate_classes(S: int, include_imprimitive: bool = False) -> list[QuadForm]:
     """All reduced positive-definite binary forms with det_hessian = S, one per
     proper class; imprimitive forms are dropped unless requested.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import factor, kronecker, shared_primes
 from .euler import GenusRecord, genus_partition
-from .forms import QuadForm, automorphism_count, enumerate_classes
+from .forms import QuadForm, automorphism_count, enumerate_classes, mu_order
 
 SCHEMA_VERSION = 1
 
@@ -281,15 +281,6 @@ def class_number(D: int) -> int:
     """h(D) = number of proper classes of primitive forms with det_H = |D|,
     for a negative fundamental discriminant D (census based)."""
     return len(_fundamental_classes(D))
-
-
-def mu_order(D: int) -> int:
-    """Number of roots of unity in Q(sqrt(D))."""
-    if D == -3:
-        return 6
-    if D == -4:
-        return 4
-    return 2
 
 
 def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:

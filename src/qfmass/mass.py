@@ -88,8 +88,7 @@ def generic_density_inverse(p: int, u) -> Fraction:
 def density_ratio(g: LocalGenusSymbol) -> Fraction:
     """beta_generic / beta_G at the symbol's prime: the normalized density
     entering the local mass sums."""
-    u = g.unit_rep() if isinstance(g, OddGenusSymbol) else g.unit
-    return local_density_inverse(g) / generic_density_inverse(g.p, u)
+    return local_density_inverse(g) / generic_density_inverse(g.p, g.unit_rep())
 
 
 def count_SO_mod_p(f: QuadForm, p: int) -> int:

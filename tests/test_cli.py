@@ -52,6 +52,23 @@ def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsy
     assert code == 2 and out == "" and "L-value needs 1000000030 terms" in err
 
 
+@pytest.mark.parametrize("det_range", ["1:3000000", "1:1000000000000"])
+def test_classify_refuses_an_oversized_range_before_any_census(monkeypatch, capsys, det_range):
+    def no_scan(S, include_imprimitive=False):
+        raise AssertionError(f"class scan of {S}")
+
+    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
+    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    euler.genus_partition.cache_clear()
+    code, out, err = run_cli(capsys, "classify", "--det-range", det_range)
+    assert code == 2 and out == "" and err.startswith("error: L-value needs")
+
+
+def test_classify_range_without_realizable_det_needs_no_l_value(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--det-range", "5:6", "--prime-bound", "50")
+    assert code == 0 and [obj["mass_exact"] for obj in json.loads(out)] == ["0", "0"]
+
+
 def test_classify_range_csv(capsys):
     code, out, _ = run_cli(capsys, "classify", "--det-range", "3:5", "--format", "csv")
     assert code == 0

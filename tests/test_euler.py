@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfmass import euler
+from qfmass import cli, euler, forms, globalmass
 from qfmass.arith import NQR, QR, LocalSquareClass, factor, gamma_factor, legendre
 from qfmass.euler import (
     RationalFunction,
@@ -18,7 +18,7 @@ from qfmass.euler import (
     normalized_mass_sum,
     sign_tuple_identity,
 )
-from qfmass.forms import automorphism_count, proper_automorphism_count
+from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
 
 
@@ -34,32 +34,6 @@ def test_rational_function_normalization():
     rf = RationalFunction.make((2, 4), (2, 2))
     assert rf.den[0] == 1
     assert rf.series(3) == [Fraction(1), Fraction(1), Fraction(-1)]
-
-
-def test_rational_function_series_matches_convolution():
-    rng = random.Random(13)
-    for _ in range(100):
-        def small_rf():
-            num = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)]
-            den = [Fraction(1)] + [
-                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)
-            ]
-            return RationalFunction.make(num, den)
-
-        f, g = small_rf(), small_rf()
-        prod = (f * g).series(20)
-        sf, sg = f.series(20), g.series(20)
-        conv = [sum(sf[i] * sg[k - i] for i in range(k + 1)) for k in range(20)]
-        assert prod == conv
-
-
-def test_rational_function_ring_ops():
-    f = RationalFunction.make((1,), (1, -1))  # 1/(1-X)
-    g = RationalFunction.make((1,), (1, 1))  # 1/(1+X)
-    s = (f + g).series(6)
-    assert s == [2, 0, 2, 0, 2, 0]
-    d = (f - g).series(6)
-    assert d == [0, 2, 0, 2, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -245,41 +219,34 @@ def test_genus_partition_builds_once_per_determinant():
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), S
 
 
-def test_decomposition_check_runs_no_automorphism_scan(monkeypatch):
-    def refuse(f):
-        raise AssertionError(f"automorphism scan of {f.abc}")
+def test_census_and_checks_run_no_automorphism_scan(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"automorphism scan of {args}")
 
-    monkeypatch.setattr(euler, "_automorphisms", refuse)
+    for mod in (forms, euler, globalmass, cli):
+        for name in ("_automorphisms", "automorphism_count", "proper_automorphism_count"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
     genus_partition.cache_clear()
     for S in range(1, 121):
+        genus_census(S)
+        report_json_obj(S)
         assert decomposition_check(S)["equal"], S
         assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
-
-
-def test_census_scans_automorphisms_once_per_class(monkeypatch):
-    scanned = []
-    scan = euler._automorphisms
-
-    def counting(f):
-        scanned.append(f)
-        return scan(f)
-
-    monkeypatch.setattr(euler, "_automorphisms", counting)
-    genus_partition.cache_clear()
-    for S in (3, 23, 48, 75, 100, 231):
-        scanned.clear()
-        rep = genus_census(S)
-        report_json_obj(S)
-        for g in rep.genera:
-            assert len(g.aut_orders) == len(g.proper_aut_orders) == len(g.classes)
-        assert sorted(f.abc for f in scanned) == sorted(f.abc for f in rep.classes), S
+    assert cli.main(["verify", "siegel", "--max-det", "120"]) == 0
+    assert capsys.readouterr().out.startswith("PASS siegel")
 
 
 def test_census_aut_orders_equal_the_oracle_counts():
-    for S in range(1, 301):
+    """The census's closed-form |Aut| and masses equal the automorphism scan
+    on every class with S <= 2000."""
+    for S in range(1, 2001):
+        w = mu_order(-S)
         for g in genus_partition(S):
+            proper = [proper_automorphism_count(f) for f in g.classes]
             assert g.aut_orders == [automorphism_count(f) for f in g.classes], S
-            assert g.proper_aut_orders == [proper_automorphism_count(f) for f in g.classes], S
+            assert proper == [w] * len(g.classes), S
+            assert g.mass == sum((Fraction(1, 2 * so) for so in proper), Fraction(0)), S
 
 
 # ---------------------------------------------------------------------------
