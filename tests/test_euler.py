@@ -219,20 +219,50 @@ def test_genus_partition_builds_once_per_determinant():
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), S
 
 
-def test_census_and_checks_run_no_automorphism_scan(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError(f"automorphism scan of {args}")
-
+def _patch_automorphism_scans(monkeypatch, scan):
     for mod in (forms, euler, globalmass, cli):
         for name in ("_automorphisms", "automorphism_count", "proper_automorphism_count"):
             if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
+                monkeypatch.setattr(mod, name, scan)
+
+
+@pytest.fixture
+def no_automorphism_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"automorphism scan of {args}")
+
+    _patch_automorphism_scans(monkeypatch, refuse)
     genus_partition.cache_clear()
+
+
+def test_decomposition_check_runs_no_automorphism_scan(no_automorphism_scan):
     for S in range(1, 121):
-        genus_census(S)
-        report_json_obj(S)
         assert decomposition_check(S)["equal"], S
         assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
+
+
+def test_census_scans_automorphisms_once_per_class(monkeypatch):
+    """The census fills one |Aut| per class and scans no class more than
+    once; with the closed-form orders it scans none at all."""
+    scanned = []
+
+    def counting(*args):
+        scanned.append(args)
+        raise AssertionError(f"automorphism scan of {args}")
+
+    _patch_automorphism_scans(monkeypatch, counting)
+    genus_partition.cache_clear()
+    for S in list(range(1, 121)) + [231]:
+        rep = genus_census(S)
+        report_json_obj(S)
+        for g in rep.genera:
+            assert len(g.aut_orders) == len(g.classes), S
+    assert scanned == []
+
+
+def test_report_and_verify_siegel_run_no_automorphism_scan(no_automorphism_scan, capsys):
+    for S in range(1, 121):
+        report_json_obj(S)
     assert cli.main(["verify", "siegel", "--max-det", "120"]) == 0
     assert capsys.readouterr().out.startswith("PASS siegel")
 
