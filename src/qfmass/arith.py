@@ -2,9 +2,9 @@
 Hilbert symbols, and local squareclasses of Q_p.
 
 All results are exact (int / Fraction).  The functions are pure, except
-that the module keeps one prime sieve per process (see `shared_primes`)
-and memoizes `is_prime`; both caches change only speed and memory, never a
-result.
+that the module keeps one fixed sieve of the primes < 10^6 per process
+(`primes_below()`) and memoizes `is_prime`; both caches change only speed
+and memory, never a result.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ _FACTOR_LIMIT = _PRIME_LIMIT**2
 def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
     """All primes < limit, by sieve of Eratosthenes.
 
-    Each cache miss is one sieve build.  Only the latest sieve is kept;
-    the library reaches it through `shared_primes`.
+    Each cache miss is one sieve build.  The library reads only the default
+    sieve, the primes < 10^6, so a process builds it once.
     """
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
@@ -37,37 +37,17 @@ def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
     return tuple(compress(range(limit), sieve))
 
 
-# The bound of the shared sieve: the largest bound asked for so far, at
-# least the default.  It never shrinks.
-_sieve_limit = _PRIME_LIMIT
-
-
-def shared_primes(bound: int = _PRIME_LIMIT) -> tuple[int, ...]:
-    """The process-wide sieve: all primes < L, where L >= bound is the
-    largest bound requested so far (at least 10^6).
-
-    Callers slice it with `bisect` or stop at their own bound.  At the
-    default size it is `primes_below()`, the same cache entry as a bare
-    warm-up call, so no second default sieve is built.
-    """
-    global _sieve_limit
-    if bound > _sieve_limit:
-        _sieve_limit = bound
-    if _sieve_limit == _PRIME_LIMIT:
-        return primes_below()
-    return primes_below(_sieve_limit)
-
-
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Primality of n < 10^12: a sieve lookup below the sieve bound, trial
-    division by the sieved primes above it.  Memoized (errors are not)."""
+    """Primality of n < 10^12: a lookup in the sieve of the primes < 10^6
+    below 10^6, trial division by those primes above.  Memoized (errors are
+    not)."""
     if n < 2:
         return False
     if n >= _FACTOR_LIMIT:
         raise ValueError(f"{n} is beyond the supported factorization range")
-    ps = shared_primes()
-    if n < _sieve_limit:
+    ps = primes_below()
+    if n < _PRIME_LIMIT:
         i = bisect_left(ps, n)
         return i < len(ps) and ps[i] == n
     for p in ps:
@@ -89,7 +69,7 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n >= _FACTOR_LIMIT:
         raise ValueError(f"{n} is beyond the supported factorization range")
     out = []
-    for p in shared_primes():
+    for p in primes_below():
         if p * p > n:
             break
         if n % p == 0:
@@ -222,14 +202,12 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if e % 2 else 1
 
 
-def chi(u, p: int) -> int:
-    """The character chi_u(p) = kronecker(-u, p); u a unit class at p."""
-    if isinstance(u, LocalSquareClass):
-        u = u.unit_rep()
+def chi(u: int, p: int) -> int:
+    """The character chi_u(p) = kronecker(-u, p); u an integer unit at p."""
     return kronecker(-u, p)
 
 
-def gamma_factor(u, p: int) -> Fraction:
+def gamma_factor(u: int, p: int) -> Fraction:
     """gamma_p(u) = 1 - chi_u(p)/p, exactly."""
     return 1 - Fraction(chi(u, p), p)
 
@@ -262,12 +240,6 @@ class LocalSquareClass:
         else:
             tag = self.unit * other.unit
         return LocalSquareClass(self.p, self.val + other.val, tag)
-
-    def unit_rep(self) -> int:
-        """A representative integer for the unit part."""
-        if self.p == 2:
-            return self.unit
-        return 1 if self.unit == QR else smallest_nonresidue(self.p)
 
     @staticmethod
     def of(m: int, p: int) -> "LocalSquareClass":

@@ -80,6 +80,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# Most digits a printed Euler coefficient may have, below CPython's
+# 4300-digit limit on int-to-str conversion.
+EULER_DIGITS_MAX = 4000
+
+
 def cmd_euler(args) -> int:
     p, u = args.p, args.unit
     if not is_prime(p):
@@ -88,6 +93,13 @@ def cmd_euler(args) -> int:
         return _fail_usage(f"--unit must be a unit at {p}, got {u}")
     if args.terms < 1:
         return _fail_usage("--terms must be positive")
+    # the coefficient at nu = terms - 1 has the denominator p^terms
+    terms_max = int(EULER_DIGITS_MAX / math.log10(p))
+    if args.terms > terms_max:
+        return _fail_usage(
+            f"--terms {args.terms} at p = {p} gives coefficients of more than"
+            f" {EULER_DIGITS_MAX} digits; the largest accepted is {terms_max}"
+        )
     coeff = a_coeff if args.which == "A" else b_coeff
     obj = {
         "schema": SCHEMA_VERSION,

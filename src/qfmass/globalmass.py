@@ -13,13 +13,12 @@ import csv
 import io
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import factor, kronecker, shared_primes
+from .arith import factor, kronecker
 from .euler import GenusRecord, genus_partition
 from .forms import QuadForm, automorphism_count, enumerate_classes, mu_order
 
@@ -62,7 +61,7 @@ def kappa(S: int) -> int:
 # Dirichlet L-values by truncated character sums
 
 # Most terms an L-value may use.  M terms cost about 17 M bytes of arrays at
-# peak and keep a sieve of the primes <= M for the process.
+# peak.
 L_TERMS_MAX = 10**7
 
 
@@ -125,10 +124,8 @@ def _char_table(D: int) -> np.ndarray:
 class LTruncation:
     """Truncated evaluation of L(1, (D|.)) = prod (1 - (D|p)/p)^-1.
 
-    `value` is the Abel-summed character sum over M = `prime_bound` terms
-    (the accurate estimate); `euler_value` is the raw Euler product over
-    primes <= M.  `error_estimate` = e1 + e2 is a proven bound on
-    |value - L(1, chi_D)|.
+    `value` is the Abel-summed character sum over M = `prime_bound` terms;
+    `error_estimate` = e1 + e2 is a proven bound on |value - L(1, chi_D)|.
 
     Truncation, e1.  Let T(m) = sum_{n<=m} chi(n) and T_bar its mean over a
     period P.  For D < 0, D != 3 (mod 4), chi_D is a nonprincipal character
@@ -154,21 +151,7 @@ class LTruncation:
     D: int
     prime_bound: int
     value: float
-    euler_value: float
     error_estimate: float
-
-
-def _euler_product(table: np.ndarray, M: int) -> float:
-    """prod over primes p <= M of (1 - chi(p)/p)^-1, chi given by its table.
-
-    `np.divide.reduce` divides left to right, as the scalar loop
-    `euler /= 1 - chi(p)/p` does, and chi(p) = 0 gives an exact factor 1.0,
-    so the result is the loop's to the last bit.
-    """
-    primes = shared_primes(M + 1)
-    p = np.array(primes[: bisect_right(primes, M)], dtype=np.int64)
-    factors = 1.0 - table[p % len(table)] / p
-    return float(np.divide.reduce(np.concatenate(([1.0], factors))))
 
 
 def _error_bound(table: np.ndarray, M: int) -> float:
@@ -205,16 +188,13 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
 
     The character sum sum chi(m)/m is conditionally convergent; Abel
     summation against the periodic partial sums leaves a tail of at most
-    2B/((M+1)(M+2)) (see `LTruncation`), far below the raw-product error at
-    the same bound.  The number of terms M = max(prime_bound, 10 P) is
-    capped at L_TERMS_MAX: a larger M is refused before any table, array or
-    sieve is built.
+    2B/((M+1)(M+2)) (see `LTruncation`).  The number of terms
+    M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
+    refused before any table or array is built.
     """
     M = _l_terms(D, prime_bound)
     P = _char_period(D)
     table = _char_table(D)
-    # before the Abel arrays, so the two peaks do not add up
-    euler = _euler_product(table, M)
     err = _error_bound(table, M)
     m = np.arange(1, M + 1)
     chi = table[m % P]
@@ -227,7 +207,7 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     T = np.cumsum(chi_vals)
     T_mean = float(T[:P].mean())
     abel = partial + (T_mean - float(T[-1])) / (M + 1)
-    return LTruncation(D=D, prime_bound=M, value=abel, euler_value=euler, error_estimate=err)
+    return LTruncation(D=D, prime_bound=M, value=abel, error_estimate=err)
 
 
 def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfmass import arith
 from qfmass.arith import (
     NQR,
     OO,
@@ -25,7 +24,6 @@ from qfmass.arith import (
     kronecker,
     legendre,
     primes_below,
-    shared_primes,
     valuation,
 )
 from fractions import Fraction
@@ -151,11 +149,10 @@ def sieve_builds() -> int:
 
 
 @pytest.fixture
-def cold_sieve(monkeypatch):
-    """A fresh process's sieve state: nothing built, default bound, empty
-    is_prime memo.  The bound is restored afterwards; the cache rebuilds
-    on demand, so later tests see correct primes either way."""
-    monkeypatch.setattr(arith, "_sieve_limit", arith._PRIME_LIMIT)
+def cold_sieve():
+    """A fresh process's sieve state: nothing built, empty is_prime memo.
+    The cache rebuilds on demand, so later tests see correct primes either
+    way."""
     primes_below.cache_clear()
     is_prime.cache_clear()
     yield
@@ -168,26 +165,12 @@ def test_sieve_is_shared_by_factor_is_prime_and_l_values(cold_sieve):
     assert factor(2**10 * 999_983) == [(2, 10), (999_983, 1)]
     assert is_prime(97) and not is_prime(91)
     assert is_prime(1_000_003) and not is_prime(1_000_001)
+    assert factor(1_000_003 * 999_983) == [(999_983, 1), (1_000_003, 1)]
     assert l_value_truncated(-23).prime_bound == 10**5
     assert factor(600_851_475_143) == [(71, 1), (839, 1), (1471, 1), (6857, 1)]
     assert l_value_truncated(-1996).prime_bound == 10**5
     assert is_prime(2**31 - 1)
     assert sieve_builds() == before
-
-
-def test_sieve_grows_once_and_never_shrinks(cold_sieve):
-    primes_below()
-    before = sieve_builds()
-    # M = 10^6 + 3 terms need the primes <= 10^6 + 3, one past the default
-    assert l_value_truncated(-3, 10**6 + 3).prime_bound == 10**6 + 3
-    assert sieve_builds() == before + 1
-    assert len(shared_primes()) == 78_499 and shared_primes()[-1] == 1_000_003
-    l_value_truncated(-3, 10**6 + 3)
-    l_value_truncated(-23)
-    assert factor(1_000_003 * 999_983) == [(999_983, 1), (1_000_003, 1)]
-    assert is_prime(1_000_003) and not is_prime(1_000_001) and is_prime(999_983)
-    assert len(shared_primes(100)) == 78_499
-    assert sieve_builds() == before + 1
 
 
 @pytest.mark.parametrize("limit", [2, 3, 100, 10**5 + 1])
@@ -196,10 +179,9 @@ def test_primes_below_matches_trial_division(cold_sieve, limit):
     if limit == 10**5 + 1:
         assert len(expected) == 9592  # pi(10^5)
     assert list(primes_below(limit)) == expected
-    # the shared sieve sliced at the limit, at the default bound and grown
-    for bound in (limit, 10**6 + 3):
-        ps = shared_primes(bound)
-        assert list(ps[: bisect_left(ps, limit)]) == expected
+    # the default sieve sliced at the limit
+    ps = primes_below()
+    assert list(ps[: bisect_left(ps, limit)]) == expected
     assert list(primes_below(limit)) == expected
 
 
@@ -210,8 +192,7 @@ def test_primes_below_million(cold_sieve):
     # every entry is prime: a composite below 10^6 + 1 has a prime factor <= 1000
     small = primes_by_trial_division(1001)
     assert all(p in small or all(p % q for q in small) for p in ps)
-    grown = shared_primes(10**6 + 4)
-    assert grown[: bisect_left(grown, 10**6 + 1)] == ps
+    assert primes_below() == ps[: bisect_left(ps, 10**6)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qfmass import euler, forms
+from qfmass import cli, euler, forms
 from qfmass.cli import main
 
 
@@ -122,6 +122,19 @@ def test_euler_closed_form_flag(capsys):
     assert obj["table_matches"] is True
     assert obj["printed_matches"] is False
     assert obj["printed_mismatch_at"]
+
+
+@pytest.mark.parametrize("terms", ["10000", "1000000000000"])
+def test_euler_refuses_oversized_terms_before_any_coefficient(monkeypatch, capsys, terms):
+    def no_coeff(*args):
+        raise AssertionError("Euler coefficient computed for a refused --terms")
+
+    for name in ("a_coeff", "b_coeff", "closed_form", "closed_form_report"):
+        monkeypatch.setattr(cli, name, no_coeff)
+    for which in ("A", "B"):
+        code, out, err = run_cli(capsys, "euler", "--p", "3", "--unit", "1", "--which", which, "--terms", terms)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --terms {terms} at p = 3") and err.rstrip().endswith("is 8383")
 
 
 def test_euler_rejects_nonprime(capsys):
