@@ -150,28 +150,13 @@ def smallest_nonresidue(p: int) -> int:
     return next(r for r in count(2) if legendre(r, p) == -1)
 
 
-def _split(x: Fraction | int, p: int) -> tuple[int, Fraction]:
-    """x = p^alpha * u with u a p-adic unit, p a checked prime; returns
-    (alpha, u)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("nonzero value required")
-    alpha = _valuation(x.numerator, p) - _valuation(x.denominator, p)
-    return alpha, x / Fraction(p) ** alpha
-
-
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    """Residue of a p-adic unit written as a fraction, mod `modulus`."""
-    num, den = u.numerator % modulus, u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
-
-
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b)_v over Q; `place` is a prime or OO.
 
-    Closed formulas: at odd p via valuations and Legendre symbols, at 2 via
-    the mod-8 epsilon/omega formula, at OO it is -1 iff both arguments are
-    negative.
+    The symbol depends only on the squareclasses of a and b, which it reads
+    from `LocalSquareClass.of`: at odd p the closed formula in valuation
+    parities and Legendre tags, at 2 the mod-8 epsilon/omega formula; at OO
+    it is -1 iff both arguments are negative.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -181,23 +166,19 @@ def hilbert_symbol(a, b, place) -> int:
     p = place
     if not is_prime(p):
         raise ValueError(f"place must be a prime or OO, got {place!r}")
-    alpha, u = _split(a, p)
-    beta, w = _split(b, p)
+    # n/d and n*d differ by the square d^2, so they share a squareclass
+    x = LocalSquareClass.of(a.numerator * a.denominator, p)
+    y = LocalSquareClass.of(b.numerator * b.denominator, p)
+    alpha, beta = x.val % 2, y.val % 2
     if p != 2:
-        uu = _unit_mod(u, p)
-        ww = _unit_mod(w, p)
-        sign = 1
-        if alpha % 2 and beta % 2 and p % 4 == 3:
-            sign = -sign
-        if beta % 2:
-            sign *= kronecker(uu, p)
-        if alpha % 2:
-            sign *= kronecker(ww, p)
+        sign = -1 if alpha and beta and p % 4 == 3 else 1
+        if beta:
+            sign *= x.unit
+        if alpha:
+            sign *= y.unit
         return sign
-    uu = _unit_mod(u, 8)
-    ww = _unit_mod(w, 8)
-    eps_u, eps_w = (uu - 1) // 2 % 2, (ww - 1) // 2 % 2
-    om_u, om_w = (uu * uu - 1) // 8 % 2, (ww * ww - 1) // 8 % 2
+    eps_u, eps_w = (x.unit - 1) // 2 % 2, (y.unit - 1) // 2 % 2
+    om_u, om_w = (x.unit**2 - 1) // 8 % 2, (y.unit**2 - 1) // 8 % 2
     e = eps_u * eps_w + alpha * om_w + beta * om_u
     return -1 if e % 2 else 1
 

@@ -233,21 +233,17 @@ def _verify_closed_forms() -> tuple[bool, list[str]]:
 
 
 def cmd_verify(args) -> int:
-    lines: list[str]
-    if args.suite in ("decomposition", "siegel") and args.max_det < 1:
-        return _fail_usage("--max-det must be at least 1")
-    if args.suite == "class-number" and args.dmax < 3:
-        return _fail_usage("--dmax must be at least 3")
-    if args.suite == "decomposition":
-        ok, lines = _verify_decomposition(args.max_det)
-    elif args.suite == "siegel":
-        ok, lines = _verify_siegel(args.max_det)
+    if args.suite in ("decomposition", "siegel"):
+        if args.max_det < 1:
+            return _fail_usage("--max-det must be at least 1")
+        run = _verify_decomposition if args.suite == "decomposition" else _verify_siegel
+        ok, lines = run(args.max_det)
     elif args.suite == "class-number":
+        if args.dmax < 3:
+            return _fail_usage("--dmax must be at least 3")
         ok, lines = _verify_class_number(args.dmax, args.tol, args.prime_bound)
-    elif args.suite == "euler-closed-forms":
+    else:
         ok, lines = _verify_closed_forms()
-    else:  # pragma: no cover - argparse restricts choices
-        return _fail_usage(f"unknown suite {args.suite}")
     print("\n".join(lines))
     return 0 if ok else 1
 
@@ -274,16 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", type=str, default=None)
     e.set_defaults(func=cmd_euler)
 
+    # each suite takes only the flags it reads
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument(
-        "suite",
-        choices=("decomposition", "siegel", "class-number", "euler-closed-forms"),
-    )
-    v.add_argument("--max-det", type=int, default=500)
-    v.add_argument("--dmax", type=int, default=200)
-    v.add_argument("--tol", type=float, default=1e-3)
-    v.add_argument("--prime-bound", type=int, default=10**5)
     v.set_defaults(func=cmd_verify)
+    suites = v.add_subparsers(dest="suite", required=True)
+    for name in ("decomposition", "siegel"):
+        suites.add_parser(name).add_argument("--max-det", type=int, default=500)
+    cn = suites.add_parser("class-number")
+    cn.add_argument("--dmax", type=int, default=200)
+    cn.add_argument("--tol", type=float, default=1e-3)
+    cn.add_argument("--prime-bound", type=int, default=10**5)
+    suites.add_parser("euler-closed-forms")
     return ap
 
 

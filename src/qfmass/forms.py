@@ -4,7 +4,7 @@ exhaustive enumeration by determinant.
 
 Only binary forms occur, so determinants and Hasse invariants are closed forms:
 a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
-takes, hence c_v = (x, -det_H/4)_v.
+takes, hence c_v = (x, -det_H/4)_v = (x, -det_H)_v, since 4 is a square.
 
 The enumeration here is the brute-force oracle the analytic machinery is
 checked against, so it stays elementary on purpose.
@@ -12,7 +12,6 @@ checked against, so it stays elementary on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import hilbert_symbol
@@ -227,22 +226,21 @@ def hasse_invariant(f: QuadForm, place) -> int:
     of pairwise Hilbert symbols over any diagonalization.
 
     A binary space is <x, det_G/x> for any value x != 0 it takes, so
-    c_v = (x, -det_G)_v with det_G = det_H/4; x = a, else c, else
-    Q(e1 + e2) = b when a = c = 0.
+    c_v = (x, -det_G)_v with det_G = det_H/4, which equals (x, -det_H)_v
+    since 4 is a square; x = a, else c, else Q(e1 + e2) = b when a = c = 0.
     """
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
     a, b, c = f.abc
-    return hilbert_symbol(a or c or b, Fraction(-d, 4), place)
+    return hilbert_symbol(a or c or b, -d, place)
 
 
 def scale_hasse(u, f: QuadForm, place) -> int:
     """Hasse invariant of the u-scaled space by the closed binary scaling law
     c(uV) = (u, u)_v (u, det_G)_v c(V), det_G = det_H/4, with no
-    rediagonalization."""
-    u = Fraction(u)
+    rediagonalization; (u, det_G)_v = (u, det_H)_v since 4 is a square."""
     if u == 0:
         raise ValueError("scaling must be nonzero")
     c = hasse_invariant(f, place)
-    return c * hilbert_symbol(u, u, place) * hilbert_symbol(u, Fraction(det_hessian(f), 4), place)
+    return c * hilbert_symbol(u, u, place) * hilbert_symbol(u, det_hessian(f), place)

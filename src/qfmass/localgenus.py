@@ -65,7 +65,7 @@ class OddGenusSymbol:
 
     def unit_rep(self) -> int:
         """Integer representing the determinant unit class (for chi/gamma)."""
-        return 1 if self.det_tag() == QR else smallest_nonresidue(self.p)
+        return _tag_rep(self.p, self.det_tag())
 
     def hasse(self) -> int:
         """Hasse invariant of any form in the genus (leading tag^nu)."""
@@ -95,6 +95,11 @@ class TwoAdicGenusSymbol:
 LocalGenusSymbol = Union[OddGenusSymbol, TwoAdicGenusSymbol]
 
 
+def _tag_rep(p: int, tag: int) -> int:
+    """The least positive integer of unit class `tag` at an odd prime p."""
+    return 1 if tag == QR else smallest_nonresidue(p)
+
+
 def _canonical_lead(nu: int, u1: int) -> int | None:
     """Leading-unit invariant: mod 4 at nu = 4 (sign walking identifies
     u1 and 5*u1), mod 8 once the scale gap is at least 3; None below."""
@@ -109,22 +114,16 @@ def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
     """Jordan splitting of a nondegenerate binary form over Z_p, p odd."""
     if p == 2 or not is_prime(p):
         raise ValueError("jordan_split_odd needs an odd prime")
-    a, b, c = f.abc
-    d = det_hessian(f)
-    if d == 0:
+    if det_hessian(f) == 0:
         raise ValueError("degenerate form")
-    k = min(_valuation(x, p) for x in (a, b, c) if x != 0)
-    a, b, c = a // p**k, b // p**k, c // p**k
-    d = 4 * a * c - b * b
-    nu = _valuation(d, p)
-    if nu == 0:
-        return OddGenusSymbol(p, ((k, 2, kronecker(d, p)),))
+    k = _valuation(content(f), p)
+    a, b, c = (x // p**k for x in f.abc)
+    d = LocalSquareClass.of(4 * a * c - b * b, p)
+    if d.val == 0:
+        return OddGenusSymbol(p, ((k, 2, d.unit),))
     # primitive at p with positive valuation: a or c is a p-unit
-    u1 = a if a % p else c
-    strip = d // p**nu
-    tag1 = kronecker(u1, p)
-    tag2 = kronecker(strip, p) * tag1
-    return OddGenusSymbol(p, ((k, 1, tag1), (k + nu, 1, tag2)))
+    tag1 = kronecker(a if a % p else c, p)
+    return OddGenusSymbol(p, ((k, 1, tag1), (k + d.val, 1, d.unit * tag1)))
 
 
 def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
@@ -134,8 +133,8 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
-    nu = _valuation(d, 2)
-    unit = (d >> nu) % 8
+    sq = LocalSquareClass.of(d, 2)
+    nu, unit = sq.val, sq.unit
     if nu == 0:
         # even-unimodular row: table label, not the pairwise-symbol value
         return TwoAdicGenusSymbol(SHAPE_BAR2, 0, unit, -1, None)
@@ -207,7 +206,8 @@ def enumerate_local_genera(
     leads = (1, 3) if nu == 4 else (1, 3, 5, 7)
     for u1 in leads:
         u2 = u1 * u % 8
-        c = hilbert_symbol(u1, 2 ** (nu - 2) * u2, 2)
+        # 2^(nu % 2) * u2 is in the squareclass of 2^(nu - 2) * u2
+        c = hilbert_symbol(u1, 2 ** (nu % 2) * u2, 2)
         out.append((TwoAdicGenusSymbol(shape, nu, u, c, _canonical_lead(nu, u1)), c))
     return out
 
@@ -217,15 +217,11 @@ def representative_form(sym: LocalGenusSymbol) -> QuadForm:
     used to cross-validate the enumeration tables."""
     if isinstance(sym, OddGenusSymbol):
         p = sym.p
-
-        def rep(tag):
-            return 1 if tag == QR else smallest_nonresidue(p)
-
         if len(sym.blocks) == 1:
             scale, _, tag = sym.blocks[0]
-            return QuadForm.diagonal(p**scale, p**scale * rep(tag))
+            return QuadForm.diagonal(p**scale, p**scale * _tag_rep(p, tag))
         (s1, _, t1), (s2, _, t2) = sym.blocks
-        return QuadForm.diagonal(p**s1 * rep(t1), p**s2 * rep(t2))
+        return QuadForm.diagonal(p**s1 * _tag_rep(p, t1), p**s2 * _tag_rep(p, t2))
     nu, u = sym.nu, sym.unit
     if nu == 0:
         return QuadForm.binary(1, 1, 1) if u % 8 == 3 else QuadForm.binary(1, 1, 2)

@@ -312,6 +312,13 @@ def test_hilbert_product_formula_on_rationals(a, b):
     assert prod == 1, (a, b)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rational, rational, rational, st.sampled_from((2, 3, 5, 7)), st.integers(0, 3000))
+def test_hilbert_depends_only_on_squareclasses(a, b, r, p, k):
+    # a * r^2 * p^(2k) is in the squareclass of a, also at valuations in the thousands
+    assert hilbert_symbol(a * r**2 * p ** (2 * k), b, p) == hilbert_symbol(a, b, p), (a, b, r, p, k)
+
+
 def test_hilbert_accepts_fractions():
     assert hilbert_symbol(Fraction(1, 2), Fraction(3, 4), 2) == hilbert_symbol(2, 3, 2)
 

@@ -212,6 +212,22 @@ def test_classify_det_and_det_range_are_exclusive(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
+        (("verify", "siegel", "--dmax", "9"), "--dmax"),
+        (("verify", "euler-closed-forms", "--max-det", "5"), "--max-det"),
+        (("verify", "decomposition", "--tol", "1e-9"), "--tol"),
+    ],
+)
+def test_verify_suite_rejects_flags_it_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
         (("verify", "decomposition", "--max-det", "0"), "--max-det"),
         (("verify", "siegel", "--max-det", "0"), "--max-det"),
         (("verify", "class-number", "--dmax", "2"), "--dmax"),

@@ -21,6 +21,8 @@ from qfmass.euler import (
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
 
+from .test_arith import time_limit
+
 
 def nonresidue(p: int) -> int:
     return min(r for r in range(2, p) if legendre(r, p) == -1)
@@ -68,6 +70,16 @@ def test_coefficient_examples():
     assert a_coeff(2, 1, 0) == 0 and b_coeff(2, 1, 0) == 0
     for u in (1, 3, 5, 7):
         assert a_coeff(2, u, 1) == 0 and b_coeff(2, u, 1) == 0
+
+
+def test_high_valuation_coefficients_at_two():
+    # criterion-2 table rows: A = gamma_2(u) / 2^nu, B = A if u = 3 (mod 4) else 0
+    nu = 20000
+    with time_limit(1.0):
+        for u in (1, 3, 5, 7):
+            a = gamma_factor(u, 2) / 2**nu
+            assert a_coeff(2, u, nu) == a, u
+            assert b_coeff(2, u, nu) == (a if u % 4 == 3 else 0), u
 
 
 def test_coefficient_positivity_and_b_padding():
