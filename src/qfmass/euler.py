@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LocalSquareClass, chi, factor, gamma_factor
+from .arith import LocalSquareClass, chi, factor, gamma_factor, kronecker
 from .forms import QuadForm, enumerate_classes, mu_order
-from .localgenus import LocalGenusSymbol, enumerate_local_genera, local_symbol
+from .localgenus import LocalGenusSymbol, enumerate_local_genera, genus_symbol_2, local_symbol
 from .mass import density_ratio
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,16 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     enumerate_classes, within and across genera.  Memoized for the latest
     S: the census and both decomposition checks of one S share one build.
 
+    Classes are grouped by a cheap key, and `local_symbol` runs once per
+    genus, on its first class, at every p | 2S.  At an odd p | S the key is
+    Gauss's assigned character t_p = (a|p), or (c|p) when p | a.  A
+    primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
+    (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with u1
+    = a or c the p-unit; so its Jordan symbol is ((0, 1, t_p), (v, 1, d t_p))
+    with v = ord_p(S) and d the unit class of S, both fixed by S.  Equal t_p
+    thus means an equal odd symbol.  The 2-adic symbol is the key's own
+    `genus_symbol_2(f)`, still computed per class.
+
     Automorphism orders come from the closed form for a reduced primitive
     form of discriminant -S: |proper Aut| = w = mu_order(-S), and |Aut| is 2w
     when the form is ambiguous (b = 0, a = b or a = c), else w.  So a genus
@@ -197,21 +207,26 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         a, b, c = f.abc
         return 2 * w if b == 0 or a == b or a == c else w
 
-    groups: dict[tuple, tuple[dict, list[QuadForm]]] = {}
+    odd = primes[1:]
+    groups: dict[tuple, list[QuadForm]] = {}
     for f in enumerate_classes(S):
-        syms = {p: local_symbol(f, p) for p in primes}
-        groups.setdefault(tuple(syms.values()), (syms, []))[1].append(f)
+        a, _, c = f.abc
+        key = (genus_symbol_2(f), *(kronecker(a if a % p else c, p) for p in odd))
+        groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
-    return tuple(
-        GenusRecord(
-            classes=tuple(classes),
-            symbols=syms,
-            labels={p: (sym.c2 if p == 2 else sym.hasse()) for p, sym in syms.items()},
-            aut_orders=[aut_order(f) for f in classes],
-            mass=Fraction(len(classes), 2 * w),
+    records = []
+    for classes in groups.values():
+        syms = {p: local_symbol(classes[0], p) for p in primes}
+        records.append(
+            GenusRecord(
+                classes=tuple(classes),
+                symbols=syms,
+                labels={p: (sym.c2 if p == 2 else sym.hasse()) for p, sym in syms.items()},
+                aut_orders=[aut_order(f) for f in classes],
+                mass=Fraction(len(classes), 2 * w),
+            )
         )
-        for syms, classes in groups.values()
-    )
+    return tuple(records)
 
 
 def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None) -> dict:
@@ -225,6 +240,8 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     unimodular row; with it the identity is exact for every S and constraint.
     """
     constraints = dict(hasse_constraints or {})
+    if any(eps not in (1, -1) for eps in constraints.values()):
+        raise ValueError("eps must be +-1")
     Sq = factor(S)
     T = sorted({2} | {p for p, _ in Sq} | set(constraints))
     local = {p: LocalSquareClass.of(S, p) for p in T}
@@ -242,20 +259,19 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
         lhs += term
 
     eps_infty = 1  # positive-definite binary forms
-    K = Fraction(1)
-    for p in sorted(constraints):
-        K *= normalized_mass_sum(p, local[p], constraints[p])
     C = eps_infty * (-1 if S % 2 else 1)
-    for p in sorted(constraints):
-        C *= constraints[p]
+    K = Fraction(1)
     prodA = Fraction(1)
     prodB = Fraction(1)
     for p in T:
+        A, B = _ab_coeff(p, local[p].unit, local[p].val)
         if p in constraints:
-            continue
-        u = local[p].unit
-        prodA *= _ab_coeff(p, u, local[p].val)[0]
-        prodB *= _ab_coeff(p, u, local[p].val)[1]
+            # a constrained p contributes M~^{c_p} = (A + c_p B)/2
+            K *= (A + constraints[p] * B) / 2
+            C *= constraints[p]
+        else:
+            prodA *= A
+            prodB *= B
     rhs = K * (prodA + C * prodB) / 2
     return {
         "det": S,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import gamma_factor
 from .forms import QuadForm, det_hessian
@@ -60,6 +61,7 @@ def p_mass(g: LocalGenusSymbol) -> HalfPower:
     raise ValueError(f"no rank-2 mass row for nu = {nu} at 2")
 
 
+@lru_cache(maxsize=None)
 def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     """Inverse local density 1/beta_p of the genus, via the conversion
     beta^-1 = 2 * m_p * q^(-3 nu / 2 + 3 ord_p(2)).
@@ -67,6 +69,8 @@ def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     At p = 2 the even-unimodular row (nu = 0) carries the generic-density
     convention's extra division by 2; the placement is pinned by the exact
     global mass identities (Siegel ratios and the decomposition theorem).
+    Memoized per symbol: symbols are frozen and the value reads only their
+    fields.
     """
     m = p_mass(g)
     p, nu = m.p, g.nu
@@ -85,9 +89,11 @@ def generic_density_inverse(p: int, u) -> Fraction:
     return (2 if p == 2 else 1) / g
 
 
+@lru_cache(maxsize=None)
 def density_ratio(g: LocalGenusSymbol) -> Fraction:
     """beta_generic / beta_G at the symbol's prime: the normalized density
-    entering the local mass sums."""
+    entering the local mass sums; memoized per symbol like
+    `local_density_inverse`."""
     return local_density_inverse(g) / generic_density_inverse(g.p, g.unit_rep())
 
 

@@ -246,6 +246,8 @@ GOLDEN_SHA256 = {
     "classify --det-range 1:40 --format csv": "cc3ed066efdfcf5e9bcc08467701893070e9727dec64c2078dc3a96c94fe516a",
     "verify decomposition --max-det 300": "471e00b9afae76b9f2d83ffdc8825b2b89f264bbd47b2ae0034a691d8202bdf8",
     "verify siegel --max-det 300": "1fab961f5c67e0bb2696ee61c237171ea6f545ddad0edf461ccc028824309dd8",
+    "verify decomposition --max-det 2000": "68d3ffaeac0bb28868b3694bd825d95577b90a0b17d7bf8f637c41f4f97e6756",
+    "verify siegel --max-det 2000": "910fac037c6342f8e370e1b867c06e0a7912a314b7fd073901a16d906ebc307b",
     "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
         "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"
     ),

@@ -20,6 +20,7 @@ from qfmass.euler import (
 )
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
+from qfmass.localgenus import local_symbol
 
 from .test_arith import time_limit
 
@@ -197,6 +198,9 @@ def test_decomposition_with_constraints():
     assert res["equal"] and res["lhs"] == 0
     res = decomposition_check(3, {5: 1})
     assert res["equal"] and res["lhs"] == Fraction(2, 9)
+    for eps in (0, 2):
+        with pytest.raises(ValueError):
+            decomposition_check(3, {5: eps})
 
 
 def test_decomposition_sweep_with_random_constraints():
@@ -229,6 +233,41 @@ def test_genus_partition_builds_once_per_determinant():
         decomposition_check(S, cons)
         after = genus_partition.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), S
+
+
+def _per_class_partition(S):
+    """The census grouping with `local_symbol` run on every class at every
+    p | 2S: the elementary oracle for `genus_partition`."""
+    primes = sorted({2} | {p for p, _ in factor(S)})
+    groups = {}
+    for f in forms.enumerate_classes(S):
+        syms = {p: local_symbol(f, p) for p in primes}
+        groups.setdefault(tuple(syms.values()), (syms, []))[1].append(f)
+    return [(tuple(classes), syms) for syms, classes in groups.values()]
+
+
+def test_genus_partition_equals_the_per_class_symbol_oracle():
+    for S in list(range(1, 2001)) + list(range(99000, 99040)):
+        got = [(rec.classes, rec.symbols) for rec in genus_partition(S)]
+        assert got == _per_class_partition(S), S
+
+
+@pytest.mark.parametrize("S", [231, 1560, 4620, 99960])
+def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
+    """Each S has several genera of several classes, so per-class symbol
+    work would show in the count."""
+    calls = []
+
+    def counting(f, p):
+        calls.append((f.abc, p))
+        return local_symbol(f, p)
+
+    monkeypatch.setattr(euler, "local_symbol", counting)
+    genus_partition.cache_clear()
+    genera = genus_partition(S)
+    primes = {2} | {p for p, _ in factor(S)}
+    assert 1 < len(genera) < sum(len(rec.classes) for rec in genera)
+    assert len(calls) == len(genera) * len(primes)
 
 
 def _patch_automorphism_scans(monkeypatch, scan):

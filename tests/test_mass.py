@@ -162,3 +162,19 @@ def test_density_ratio_table_values():
     assert density_ratio(_sym(2, 0, 3)) == 1
     assert density_ratio(_sym(2, 2, 3)) == gamma_factor(3, 2) / 4
     assert density_ratio(_sym(2, 3, 1)) == gamma_factor(1, 2) / 16
+
+
+def test_density_memos_return_the_unmemoized_values():
+    """Equal symbols must have equal densities: once every symbol below has
+    passed through the memos, each memoized value equals a fresh one."""
+    symbols = []
+    for p in (2, 3, 5, 7, 11):
+        for nu in range(13):
+            for u in (1, 3, 5, 7) if p == 2 else (QR, NQR):
+                symbols += [sym for sym, _ in enumerate_local_genera(p, LocalSquareClass(p, nu, u))]
+    for S in range(1, 501):
+        for g in genus_census(S).genera:
+            symbols += g.symbols.values()
+    for fn in (density_ratio, local_density_inverse):
+        memo = [fn(sym) for sym in symbols]
+        assert memo == [fn.__wrapped__(sym) for sym in symbols], fn.__name__
