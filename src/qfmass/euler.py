@@ -185,14 +185,14 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     S: the census and both decomposition checks of one S share one build.
 
     Classes are grouped by a cheap key, and `local_symbol` runs once per
-    genus, on its first class, at every p | 2S.  At an odd p | S the key is
+    genus, on its first class, at every odd p | S.  At an odd p | S the key is
     Gauss's assigned character t_p = (a|p), or (c|p) when p | a.  A
     primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
     (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with u1
     = a or c the p-unit; so its Jordan symbol is ((0, 1, t_p), (v, 1, d t_p))
     with v = ord_p(S) and d the unit class of S, both fixed by S.  Equal t_p
     thus means an equal odd symbol.  The 2-adic symbol is the key's own
-    `genus_symbol_2(f)`, still computed per class.
+    `genus_symbol_2(f)`, computed once per class and taken from the key.
 
     Automorphism orders come from the closed form for a reduced primitive
     form of discriminant -S: |proper Aut| = w = mu_order(-S), and |Aut| is 2w
@@ -200,14 +200,13 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     of n classes has mass n/(2w).  `forms.automorphism_count` is the oracle
     the tests hold this to.
     """
-    primes = sorted({2} | {p for p, _ in factor(S)})
+    odd = [p for p, _ in factor(S) if p != 2]
     w = mu_order(-S)
 
     def aut_order(f: QuadForm) -> int:
         a, b, c = f.abc
         return 2 * w if b == 0 or a == b or a == c else w
 
-    odd = primes[1:]
     groups: dict[tuple, list[QuadForm]] = {}
     for f in enumerate_classes(S):
         a, _, c = f.abc
@@ -215,8 +214,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
     records = []
-    for classes in groups.values():
-        syms = {p: local_symbol(classes[0], p) for p in primes}
+    for key, classes in groups.items():
+        syms = {2: key[0], **{p: local_symbol(classes[0], p) for p in odd}}
         records.append(
             GenusRecord(
                 classes=tuple(classes),

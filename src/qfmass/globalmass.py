@@ -60,8 +60,8 @@ def kappa(S: int) -> int:
 # ---------------------------------------------------------------------------
 # Dirichlet L-values by truncated character sums
 
-# Most terms an L-value may use.  M terms cost about 17 M bytes of arrays at
-# peak.
+# Most terms an L-value may use.  M terms cost 16 M bytes of arrays at peak:
+# two float64 arrays, chi(m) and 1/m.
 L_TERMS_MAX = 10**7
 
 
@@ -146,6 +146,14 @@ class LTruncation:
     (size < 0.1, as M >= 10P) and the final addition add a few roundings
     more.  All of it, and the rounding of e1 + e2 itself, lies within
     e2 = gamma_{M+2} (ln M + 2).
+
+    One period.  Since T has period P, T(M) = T((M - 1) mod P + 1), and
+    T_bar, B and T(M) are all read from the P integer partial sums
+    T(1), ..., T(P); only the dot product of chi(1..M), the period repeated,
+    with 1/m runs over M terms.  The float value equals that of the M-term
+    formulation bit for bit: each partial sum and sum T is an integer below
+    2^53, so exact in float64 as well; T_bar is one correctly rounded
+    division; and the dot product sees the same two arrays.
     """
 
     D: int
@@ -154,10 +162,10 @@ class LTruncation:
     error_estimate: float
 
 
-def _error_bound(table: np.ndarray, M: int) -> float:
-    """e1 + e2 of `LTruncation` for M terms, with B exact from the table."""
-    P = len(table)
-    T = np.cumsum(np.roll(table, -1), dtype=np.int64)  # T(1), ..., T(P)
+def _error_bound(T: np.ndarray, M: int) -> float:
+    """e1 + e2 of `LTruncation` for M terms, with B exact from the partial
+    sums T = T(1), ..., T(P) of one period."""
+    P = len(T)
     # P U(n) = sum_{m<=n} (P T(m) - sum T), at most P^3 in size: P <= 10^6 fits int64
     PU = np.cumsum(P * T - int(T.sum()))
     e1 = 2 * (int(np.abs(PU).max()) / P) / ((M + 1) * (M + 2))
@@ -191,22 +199,29 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     2B/((M+1)(M+2)) (see `LTruncation`).  The number of terms
     M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
     refused before any table or array is built.
+
+    The character table, the partial sums T and the Abel correction cover
+    one period; chi(1..M) is that period tiled, and `np.dot` of it with
+    1/m is the one M-term operation.  The result is bit-identical to
+    gathering chi(m) = table[m % P] and summing T over all M terms.
     """
     M = _l_terms(D, prime_bound)
-    P = _char_period(D)
-    table = _char_table(D)
-    err = _error_bound(table, M)
-    m = np.arange(1, M + 1)
-    chi = table[m % P]
-    inv = 1.0 / m
-    # at most two M-term 8-byte arrays alive at once: they set the peak RSS
-    del m
-    chi_vals = chi.astype(np.float64)
+    period = np.roll(_char_table(D), -1)  # chi(1), ..., chi(P)
+    P = len(period)
+    T = np.cumsum(period, dtype=np.int64)  # T(1), ..., T(P)
+    # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P
+    assert int(T[-1]) == 0, D
+    err = _error_bound(T, M)
+    T_mean = int(T.sum()) / P
+    T_M = int(T[(M - 1) % P])
+    del T
+    # chi(1), ..., chi(M) and 1/1, ..., 1/M: the only M-term arrays, two
+    # 8-byte arrays that set the peak RSS
+    chi_vals = np.tile(period.astype(np.float64), -(-M // P))[:M]
+    inv = np.arange(1, M + 1, dtype=np.float64)
+    np.divide(1.0, inv, out=inv)
     partial = float(np.dot(chi_vals, inv))
-    del inv
-    T = np.cumsum(chi_vals)
-    T_mean = float(T[:P].mean())
-    abel = partial + (T_mean - float(T[-1])) / (M + 1)
+    abel = partial + (T_mean - T_M) / (M + 1)
     return LTruncation(D=D, prime_bound=M, value=abel, error_estimate=err)
 
 
@@ -277,14 +292,6 @@ def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
         "rel_err": abs(predicted - h) / h,
         "trunc": trunc,
     }
-
-
-def prime_discriminant_count(D: int) -> int:
-    """Number of prime discriminants in the factorization of a fundamental D."""
-    t = len([p for p, _ in factor(-D) if p != 2])
-    if D % 4 == 0:
-        t += 1  # the 2-part contributes exactly one prime discriminant
-    return t
 
 
 def kneser_counts(D: int) -> dict:

@@ -20,7 +20,7 @@ from qfmass.euler import (
 )
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
-from qfmass.localgenus import local_symbol
+from qfmass.localgenus import genus_symbol_2, local_symbol
 
 from .test_arith import time_limit
 
@@ -255,19 +255,29 @@ def test_genus_partition_equals_the_per_class_symbol_oracle():
 @pytest.mark.parametrize("S", [231, 1560, 4620, 99960])
 def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     """Each S has several genera of several classes, so per-class symbol
-    work would show in the count."""
+    work would show in the count.  The 2-adic symbol is built once per
+    class, for the grouping key, and never again for the genus."""
     calls = []
 
     def counting(f, p):
         calls.append((f.abc, p))
         return local_symbol(f, p)
 
+    calls_2 = []
+
+    def counting_2(f):
+        calls_2.append(f.abc)
+        return genus_symbol_2(f)
+
     monkeypatch.setattr(euler, "local_symbol", counting)
+    monkeypatch.setattr(euler, "genus_symbol_2", counting_2)
     genus_partition.cache_clear()
     genera = genus_partition(S)
-    primes = {2} | {p for p, _ in factor(S)}
-    assert 1 < len(genera) < sum(len(rec.classes) for rec in genera)
-    assert len(calls) == len(genera) * len(primes)
+    odd = {p for p, _ in factor(S) if p != 2}
+    n_classes = sum(len(rec.classes) for rec in genera)
+    assert 1 < len(genera) < n_classes
+    assert len(calls_2) == n_classes
+    assert len(calls) == len(genera) * len(odd)
 
 
 def _patch_automorphism_scans(monkeypatch, scan):

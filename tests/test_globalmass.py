@@ -9,12 +9,14 @@ import pytest
 from scipy.special import digamma
 
 from qfmass import globalmass
-from qfmass.arith import is_prime, kronecker, primes_below
+from qfmass.arith import factor, is_prime, kronecker, primes_below
 from qfmass.forms import QuadForm, proper_automorphism_count
 from qfmass.globalmass import (
     L_TERMS_MAX,
     _char_period,
     _char_table,
+    _error_bound,
+    _l_terms,
     class_number,
     dirichlet_check,
     genus_census,
@@ -23,7 +25,6 @@ from qfmass.globalmass import (
     kneser_counts,
     l_value_truncated,
     mu_order,
-    prime_discriminant_count,
     report_csv_rows,
     report_json_obj,
     report_json_str,
@@ -36,6 +37,27 @@ def kronecker_table(D: int) -> list[int]:
     chi_D(P); the oracle for `_char_table`."""
     P = _char_period(D)
     return [kronecker(D, r) if r else kronecker(D, P) for r in range(P)]
+
+
+def _l_value_reference(D: int, prime_bound: int) -> tuple[float, float, int]:
+    """(value, error_estimate, prime_bound) of `l_value_truncated` by the
+    M-term formulation: chi gathered as table[m % P] over all m <= M and the
+    partial sums T(m) from a cumsum over all M terms.  The kernel reads
+    chi and T from one period; this is its bit-for-bit oracle."""
+    M = _l_terms(D, prime_bound)
+    P = _char_period(D)
+    table = _char_table(D)
+    err = _error_bound(np.cumsum(np.roll(table, -1), dtype=np.int64), M)
+    m = np.arange(1, M + 1)
+    chi = table[m % P]
+    inv = 1.0 / m
+    del m
+    chi_vals = chi.astype(np.float64)
+    partial = float(np.dot(chi_vals, inv))
+    del inv
+    T = np.cumsum(chi_vals)
+    T_mean = float(T[:P].mean())
+    return partial + (T_mean - float(T[-1])) / (M + 1), err, M
 
 
 def l_value_by_digamma(D: int) -> float:
@@ -87,12 +109,20 @@ def test_census_empty():
         assert rep.genera == [] and rep.total_mass == 0
 
 
+def _prime_discriminant_count(D: int) -> int:
+    """Number of prime discriminants in the factorization of a fundamental D."""
+    t = len([p for p, _ in factor(-D) if p != 2])
+    if D % 4 == 0:
+        t += 1  # the 2-part contributes exactly one prime discriminant
+    return t
+
+
 def test_genus_count_is_power_of_two_from_prime_discriminants():
     for D in range(-3, -501, -1):
         if not is_fundamental_discriminant(D):
             continue
         rep = genus_census(-D)
-        t = prime_discriminant_count(D)
+        t = _prime_discriminant_count(D)
         assert len(rep.genera) == 2 ** (t - 1), D
 
 
@@ -130,6 +160,21 @@ def test_char_table_equals_kronecker(Ds):
     for D in Ds:
         table = _char_table(D)
         assert table.dtype == np.int8 and np.array_equal(table, kronecker_table(D)), D
+
+
+@pytest.mark.parametrize(
+    "Ds,bounds",
+    [
+        pytest.param([D for D in range(-3, -1001, -1) if D % 4 != 3], (100, 10**5), id="-1000..-3"),
+        pytest.param((-99996, -100003, -104999, -999996), (10**5,), id="large"),
+    ],
+)
+def test_l_value_equals_the_m_term_reference(Ds, bounds):
+    for D in Ds:
+        for bound in bounds:
+            trunc = l_value_truncated(D, bound)
+            got = (trunc.value, trunc.error_estimate, trunc.prime_bound)
+            assert got == _l_value_reference(D, bound), (D, bound)
 
 
 @pytest.mark.parametrize("D", [-3, -4, -23, -84, -163, -499])
