@@ -13,12 +13,12 @@ from qfmass import (
     reduce_binary,
 )
 
-f = QuadForm.binary(1, 3, 3)
+f = QuadForm(1, 3, 3)
 print(f"reduce x^2 + 3xy + 3y^2  ->  {reduce_binary(f).abc}   (det stays {det_hessian(f)})")
 
 print("\nAutomorphism groups (full / proper = determinant +1 only):")
 for abc in [(1, 1, 1), (1, 0, 1), (2, 1, 3), (1, 1, 6)]:
-    g = QuadForm.binary(*abc)
+    g = QuadForm(*abc)
     print(f"  {abc}: |Aut| = {automorphism_count(g):2d}   |Aut+| = {proper_automorphism_count(g)}")
 print("  note (1,1,6): (x, y) -> (x+y, -y) is an improper automorphism, so |Aut| = 4")
 

@@ -15,12 +15,12 @@ from qfmass import (
     same_genus,
 )
 
-f = QuadForm.binary(1, 1, 1)
+f = QuadForm(1, 1, 1)
 print("x^2 + xy + y^2 at p = 3:", jordan_split_odd(f, 3))
 print("x^2 + xy + y^2 at p = 2:", genus_symbol_2(f))
 
 print("\n2x^2 + xy + 3y^2 and its mirror lie in one genus:")
-print("  same_genus =", same_genus(QuadForm.binary(2, 1, 3), QuadForm.binary(2, -1, 3)))
+print("  same_genus =", same_genus(QuadForm(2, 1, 3), QuadForm(2, -1, 3)))
 
 print("\nAll local genera with det class 3 * 2^nu at p = 2 (allowed nu skips 1):")
 for nu in range(0, 7):
@@ -39,7 +39,7 @@ for nu in (0, 2, 3, 5):
         break
 
 print("\nAt a good odd prime, 1/beta = p / |SO(F_p)| (Hensel):")
-g = QuadForm.binary(1, 0, 1)
+g = QuadForm(1, 0, 1)
 for p in (3, 5, 7):
     n = count_SO_mod_p(g, p)
     sym = jordan_split_odd(g, p)

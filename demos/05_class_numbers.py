@@ -8,9 +8,9 @@ from qfmass import (
     dirichlet_check,
     genus_census,
     kappa,
-    kneser_counts,
     total_mass_numeric,
 )
+from qfmass.forms import mu_order
 
 print("Census masses vs the closed formula kappa(S) sqrt(S)/(4 pi) L(1, chi):")
 for S in (3, 4, 23, 48):
@@ -32,14 +32,11 @@ for D in (-3, -4, -15, -23):
         f" predicted = {res['predicted']:.8f}, rel err = {res['rel_err']:.2e}"
     )
 
-print("\nIdeal classes across both definite signatures, with automorphism orders:")
+print("\nFull automorphism orders: only ambiguous classes reach 2|mu|:")
 for D in (-4, -23):
-    res = kneser_counts(D)
-    print(
-        f"  D={D}: |G| = {res['G_order']}, aut orders = {res['aut_orders']},"
-        f" uniform-claim 2|mu| = {res['claimed_aut_order']},"
-        f" exceptions = {res['aut_discrepancies']}"
-    )
+    rep = genus_census(-D)
+    auts = [n for g in rep.genera for n in g.aut_orders]
+    print(f"  D={D}: classes {[f.abc for f in rep.classes]}, aut orders = {auts}, 2|mu| = {2 * mu_order(D)}")
 
 print("\nGenus structure of a multi-genus determinant (S = 48):")
 rep = genus_census(48)

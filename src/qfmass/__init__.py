@@ -47,7 +47,6 @@ from .globalmass import (
     genus_census,
     is_fundamental_discriminant,
     kappa,
-    kneser_counts,
     l_value_truncated,
     total_mass_numeric,
 )

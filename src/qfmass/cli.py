@@ -241,6 +241,13 @@ def cmd_verify(args) -> int:
     elif args.suite == "class-number":
         if args.dmax < 3:
             return _fail_usage("--dmax must be at least 3")
+        _l_terms(-3, args.prime_bound)  # a bad --prime-bound is refused as such
+        # L-value sizes grow with |D|: refuse the largest fundamental D before any check
+        try:
+            top = next(D for D in range(-args.dmax, 0) if is_fundamental_discriminant(D))
+            _l_terms(top, args.prime_bound)
+        except ValueError as exc:
+            return _fail_usage(f"--dmax {args.dmax}: {exc}")
         ok, lines = _verify_class_number(args.dmax, args.tol, args.prime_bound)
     else:
         ok, lines = _verify_closed_forms()

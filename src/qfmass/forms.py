@@ -1,8 +1,9 @@
-"""Integral binary quadratic forms held by their Hessian matrices: reduction
-and equivalence of positive-definite forms, automorphism counting, and
-exhaustive enumeration by determinant.
+"""Integral binary quadratic forms a*x^2 + b*x*y + c*y^2 held by their three
+coefficients: reduction and equivalence of positive-definite forms,
+automorphism counting, and exhaustive enumeration by determinant.
 
-Only binary forms occur, so determinants and Hasse invariants are closed forms:
+The Hessian [[2a, b], [b, 2c]] has determinant det_H = 4ac - b^2.  Only binary
+forms occur, so determinants and Hasse invariants are closed forms:
 a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
 takes, hence c_v = (x, -det_H/4)_v = (x, -det_H)_v, since 4 is a square.
 
@@ -19,39 +20,22 @@ from .arith import hilbert_symbol
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Binary form a*x^2 + b*x*y + c*y^2 as its Hessian [[2a, b], [b, 2c]]."""
+    """Binary form a*x^2 + b*x*y + c*y^2 with integer coefficients."""
 
-    hessian: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        H = self.hessian
-        if len(H) != 2 or any(len(row) != 2 for row in H):
-            raise ValueError("only binary forms (2x2 Hessians) are supported")
-        if H[0][0] % 2 or H[1][1] % 2:
-            raise ValueError("hessian diagonal must be even")
-        if H[0][1] != H[1][0]:
-            raise ValueError("hessian must be symmetric")
-
-    @staticmethod
-    def binary(a: int, b: int, c: int) -> "QuadForm":
-        return QuadForm(((2 * a, b), (b, 2 * c)))
-
-    @staticmethod
-    def diagonal(a: int, c: int) -> "QuadForm":
-        return QuadForm.binary(a, 0, c)
+    a: int
+    b: int
+    c: int
 
     @property
     def abc(self) -> tuple[int, int, int]:
-        H = self.hessian
-        return H[0][0] // 2, H[0][1], H[1][1] // 2
+        return self.a, self.b, self.c
 
     def __call__(self, x: int, y: int) -> int:
         a, b, c = self.abc
         return a * x * x + b * x * y + c * y * y
 
     def is_positive_definite(self) -> bool:
-        a, _, _ = self.abc
-        return a > 0 and det_hessian(self) > 0
+        return self.a > 0 and det_hessian(self) > 0
 
     def transform(self, t: tuple[tuple[int, int], tuple[int, int]]) -> "QuadForm":
         """The form f(T(x, y)) for an integer matrix T (columns = images)."""
@@ -60,13 +44,12 @@ class QuadForm:
         a2 = a * p * p + b * p * r + c * r * r
         c2 = a * q * q + b * q * s + c * s * s
         b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-        return QuadForm.binary(a2, b2, c2)
+        return QuadForm(a2, b2, c2)
 
 
 def det_hessian(f: QuadForm) -> int:
-    """Determinant 4ac - b^2 of the Hessian matrix."""
-    H = f.hessian
-    return H[0][0] * H[1][1] - H[0][1] ** 2
+    """Determinant 4ac - b^2 of the Hessian matrix [[2a, b], [b, 2c]]."""
+    return 4 * f.a * f.c - f.b * f.b
 
 
 def is_primitive(f: QuadForm) -> bool:
@@ -107,7 +90,7 @@ def reduce_binary(f: QuadForm) -> QuadForm:
     if a == c and b < 0:
         b = -b
     assert _is_reduced(a, b, c), (a, b, c)
-    return QuadForm.binary(a, b, c)
+    return QuadForm(a, b, c)
 
 
 def _norm_vectors(f: QuadForm, value: int) -> list[tuple[int, int]]:
@@ -137,11 +120,10 @@ def _automorphisms(f: QuadForm) -> list[tuple[tuple[int, int], tuple[int, int]]]
     auts = []
     vs = _norm_vectors(f, a)
     ws = _norm_vectors(f, c)
-    H = f.hessian
     for p, r in vs:
         for q, s in ws:
             # preserve the bilinear form: H(Te1, Te2) = b
-            if H[0][0] * p * q + H[0][1] * (p * s + q * r) + H[1][1] * r * s == b:
+            if 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s == b:
                 auts.append(((p, q), (r, s)))
     return auts
 
@@ -173,11 +155,13 @@ def mu_order(D: int) -> int:
     return 2
 
 
-def enumerate_classes(S: int, include_imprimitive: bool = False) -> list[QuadForm]:
-    """All reduced positive-definite binary forms with det_hessian = S, one per
-    proper class; imprimitive forms are dropped unless requested.
+def enumerate_classes(S: int) -> list[QuadForm]:
+    """All reduced positive-definite primitive binary forms with
+    det_hessian = S, one per proper class, in `abc` order: the loop runs over
+    a, then b, and c is fixed by (a, b).
 
-    Empty exactly when S = 1, 2 (mod 4): 4ac - b^2 is 0 or 3 mod 4.
+    Empty exactly when S = 1, 2 (mod 4): 4ac - b^2 is 0 or 3 mod 4, and for
+    S = 0, 3 (mod 4) the principal form (1, S mod 2, c) is primitive.
     """
     if S <= 0:
         raise ValueError("determinant must be positive")
@@ -192,17 +176,16 @@ def enumerate_classes(S: int, include_imprimitive: bool = False) -> list[QuadFor
                 continue
             if b < 0 and a == c:
                 continue
-            f = QuadForm.binary(a, b, c)
-            if include_imprimitive or is_primitive(f):
+            f = QuadForm(a, b, c)
+            if is_primitive(f):
                 out.append(f)
-    out.sort(key=lambda f: f.abc)
     return out
 
 
 def mirror(f: QuadForm) -> QuadForm:
     """The improperly equivalent form (x, y) -> (x, -y), flipping b."""
     a, b, c = f.abc
-    return QuadForm.binary(a, -b, c)
+    return QuadForm(a, -b, c)
 
 
 def improper_classes(S: int) -> list[list[QuadForm]]:

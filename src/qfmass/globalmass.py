@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import factor, kronecker
 from .euler import GenusRecord, genus_partition
-from .forms import QuadForm, automorphism_count, enumerate_classes, mu_order
+from .forms import QuadForm, enumerate_classes, mu_order
 
 SCHEMA_VERSION = 1
 
@@ -266,16 +266,12 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def _fundamental_classes(D: int) -> list[QuadForm]:
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a negative fundamental discriminant")
-    return enumerate_classes(-D)
-
-
 def class_number(D: int) -> int:
     """h(D) = number of proper classes of primitive forms with det_H = |D|,
     for a negative fundamental discriminant D (census based)."""
-    return len(_fundamental_classes(D))
+    if not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a negative fundamental discriminant")
+    return len(enumerate_classes(-D))
 
 
 def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
@@ -291,24 +287,6 @@ def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
         "predicted": predicted,
         "rel_err": abs(predicted - h) / h,
         "trunc": trunc,
-    }
-
-
-def kneser_counts(D: int) -> dict:
-    """Sizes in the ideal-class correspondence: |G(O_K)| counts classes over
-    both definite signatures (2h by the negation bijection), with observed
-    automorphism orders compared against the uniform claim 2|mu_K|."""
-    forms = _fundamental_classes(D)
-    h = len(forms)
-    auts = [automorphism_count(f) for f in forms]
-    w = mu_order(D)
-    return {
-        "D": D,
-        "h": h,
-        "G_order": 2 * h,
-        "aut_orders": auts,
-        "claimed_aut_order": 2 * w,
-        "aut_discrepancies": [f.abc for f, a in zip(forms, auts) if a != 2 * w],
     }
 
 

@@ -219,22 +219,22 @@ def representative_form(sym: LocalGenusSymbol) -> QuadForm:
         p = sym.p
         if len(sym.blocks) == 1:
             scale, _, tag = sym.blocks[0]
-            return QuadForm.diagonal(p**scale, p**scale * _tag_rep(p, tag))
+            return QuadForm(p**scale, 0, p**scale * _tag_rep(p, tag))
         (s1, _, t1), (s2, _, t2) = sym.blocks
-        return QuadForm.diagonal(p**s1 * _tag_rep(p, t1), p**s2 * _tag_rep(p, t2))
+        return QuadForm(p**s1 * _tag_rep(p, t1), 0, p**s2 * _tag_rep(p, t2))
     nu, u = sym.nu, sym.unit
     if nu == 0:
-        return QuadForm.binary(1, 1, 1) if u % 8 == 3 else QuadForm.binary(1, 1, 2)
+        return QuadForm(1, 1, 1) if u % 8 == 3 else QuadForm(1, 1, 2)
     if nu == 2:
         if u % 4 == 3 or sym.c2 == 1:
-            return QuadForm.diagonal(1, u)
-        return QuadForm.diagonal(3, 3 * u % 8)
+            return QuadForm(1, 0, u)
+        return QuadForm(3, 0, 3 * u % 8)
     if nu == 3:
         for u1 in (1, 3, 5, 7):
             if hilbert_symbol(u1, 2 * (u1 * u % 8), 2) == sym.c2:
-                return QuadForm.diagonal(u1, 2 * (u1 * u % 8))
+                return QuadForm(u1, 0, 2 * (u1 * u % 8))
         raise ValueError("no representative found")  # unreachable for valid symbols
     for u1 in (1, 3, 5, 7):
         if _canonical_lead(nu, u1) == sym.lead_unit:
-            return QuadForm.diagonal(u1, 2 ** (nu - 2) * (u1 * u % 8))
+            return QuadForm(u1, 0, 2 ** (nu - 2) * (u1 * u % 8))
     raise ValueError("no representative found")

@@ -67,8 +67,9 @@ def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     beta^-1 = 2 * m_p * q^(-3 nu / 2 + 3 ord_p(2)).
 
     At p = 2 the even-unimodular row (nu = 0) carries the generic-density
-    convention's extra division by 2; the placement is pinned by the exact
-    global mass identities (Siegel ratios and the decomposition theorem).
+    convention's extra division by 2.  That placement is internally
+    consistent but not independently checked: the Siegel ratios are all 1
+    and the decomposition check reads `density_ratio` on both sides.
     Memoized per symbol: symbols are frozen and the value reads only their
     fields.
     """

@@ -233,7 +233,7 @@ def test_criterion_7_structural_invariants():
     for _ in range(50):
         f = random_posdef(rng)
         for u in (-1, 2, 3, 5):
-            scaled = QuadForm(tuple(tuple(u * x for x in row) for row in f.hessian))
+            scaled = QuadForm(*(u * x for x in f.abc))
             for place in (2, 3, 5, OO):
                 scaling_ok = scaling_ok and scale_hasse(u, f, place) == hasse_invariant(
                     scaled, place

@@ -103,7 +103,7 @@ def time_limit(seconds: float):
 def test_prime_checks_reject_non_primes_without_hanging():
     # each entry point checks p once; past the check, valuations loop on p | m
     # and would never end at p = 1
-    f = QuadForm.binary(1, 1, 3)
+    f = QuadForm(1, 1, 3)
     calls = [
         lambda: valuation(12, 1),
         lambda: jordan_split_odd(f, 1),

@@ -43,7 +43,7 @@ def test_classify_refuses_oversized_l_value(capsys):
 
 
 def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsys):
-    def no_scan(S, include_imprimitive=False):
+    def no_scan(S):
         raise AssertionError(f"class scan of {S}")
 
     monkeypatch.setattr(forms, "enumerate_classes", no_scan)
@@ -54,7 +54,7 @@ def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsy
 
 @pytest.mark.parametrize("det_range", ["1:3000000", "1:1000000000000"])
 def test_classify_refuses_an_oversized_range_before_any_census(monkeypatch, capsys, det_range):
-    def no_scan(S, include_imprimitive=False):
+    def no_scan(S):
         raise AssertionError(f"class scan of {S}")
 
     monkeypatch.setattr(forms, "enumerate_classes", no_scan)
@@ -167,6 +167,15 @@ def test_verify_class_number(capsys):
         capsys, "verify", "class-number", "--dmax", "60", "--tol", "1e-3", "--prime-bound", "100000"
     )
     assert code == 0 and "PASS class-number" in out
+
+
+def test_verify_class_number_refuses_oversized_dmax_before_any_check(monkeypatch, capsys):
+    def no_check(D, prime_bound=10**5):
+        raise AssertionError(f"dirichlet_check of {D}")
+
+    monkeypatch.setattr(cli, "dirichlet_check", no_check)
+    code, out, err = run_cli(capsys, "verify", "class-number", "--dmax", "1000003")
+    assert code == 2 and out == "" and "--dmax" in err
 
 
 def test_verify_closed_forms_emits_ledger(capsys):

@@ -41,7 +41,7 @@ def reduce_by_search(f: QuadForm, bound: int = 10) -> QuadForm:
             assert best is None or best == g.abc, "two reduced images"
             best = g.abc
     assert best is not None
-    return QuadForm.binary(*best)
+    return QuadForm(*best)
 
 
 def aut_by_search(f: QuadForm, bound: int = 6) -> tuple[int, int]:
@@ -68,7 +68,7 @@ def classes_by_rescan(S: int) -> list[tuple[int, int, int]]:
             if num % (4 * a) == 0:
                 c = num // (4 * a)
                 if c > 0 and 4 * a * c - b * b == S:
-                    f = QuadForm.binary(a, b, c)
+                    f = QuadForm(a, b, c)
                     if is_primitive(f):
                         seen.add(reduce_binary(f).abc)
     return sorted(seen)
@@ -98,7 +98,7 @@ def random_posdef(rng: random.Random) -> QuadForm:
     b = rng.randint(-2 * isqrt(a * c) + 1, 2 * isqrt(a * c) - 1) if a * c > 0 else 0
     if 4 * a * c - b * b <= 0:
         return random_posdef(rng)
-    return QuadForm.binary(a, b, c)
+    return QuadForm(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -106,40 +106,21 @@ def random_posdef(rng: random.Random) -> QuadForm:
 
 
 def test_det_hessian_examples():
-    assert det_hessian(QuadForm.binary(1, 1, 1)) == 3
-    assert det_hessian(QuadForm.binary(1, 0, 1)) == 4
-    assert det_hessian(QuadForm.binary(2, 1, 3)) == 23
-
-
-def test_quadform_validation():
-    with pytest.raises(ValueError):
-        QuadForm(((1, 0), (0, 2)))  # odd diagonal
-    with pytest.raises(ValueError):
-        QuadForm(((2, 1), (0, 2)))  # not symmetric
-
-
-def test_quadform_rejects_ranks_other_than_two():
-    with pytest.raises(ValueError):
-        QuadForm(())
-    with pytest.raises(ValueError):
-        QuadForm(((2,),))
-    with pytest.raises(ValueError):
-        QuadForm(((2, 0), (0, 2, 0)))
-    with pytest.raises(ValueError):
-        QuadForm(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    assert det_hessian(QuadForm(1, 1, 1)) == 3
+    assert det_hessian(QuadForm(1, 0, 1)) == 4
+    assert det_hessian(QuadForm(2, 1, 3)) == 23
 
 
 def test_values_and_coefficients():
-    f = QuadForm.binary(2, 1, 3)
+    f = QuadForm(2, 1, 3)
     assert f(1, 0) == 2 and f(0, 1) == 3 and f(1, 1) == 6
     assert f.abc == (2, 1, 3)
-    assert QuadForm.diagonal(2, 3) == QuadForm.binary(2, 0, 3)
 
 
 def test_is_primitive():
-    assert is_primitive(QuadForm.binary(1, 1, 1))
-    assert not is_primitive(QuadForm.binary(2, 0, 2))
-    assert is_primitive(QuadForm.binary(2, 1, 3))
+    assert is_primitive(QuadForm(1, 1, 1))
+    assert not is_primitive(QuadForm(2, 0, 2))
+    assert is_primitive(QuadForm(2, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +128,18 @@ def test_is_primitive():
 
 
 def test_reduce_examples():
-    assert reduce_binary(QuadForm.binary(1, 3, 3)).abc == (1, 1, 1)
-    assert reduce_by_search(QuadForm.binary(1, 3, 3)).abc == (1, 1, 1)
-    assert reduce_binary(QuadForm.binary(1, 0, 1)).abc == (1, 0, 1)
-    assert reduce_binary(QuadForm.binary(2, -1, 3)).abc == (2, -1, 3)
-    assert reduce_by_search(QuadForm.binary(2, -1, 3)).abc == (2, -1, 3)
+    assert reduce_binary(QuadForm(1, 3, 3)).abc == (1, 1, 1)
+    assert reduce_by_search(QuadForm(1, 3, 3)).abc == (1, 1, 1)
+    assert reduce_binary(QuadForm(1, 0, 1)).abc == (1, 0, 1)
+    assert reduce_binary(QuadForm(2, -1, 3)).abc == (2, -1, 3)
+    assert reduce_by_search(QuadForm(2, -1, 3)).abc == (2, -1, 3)
 
 
 def test_reduce_rejects_indefinite():
     with pytest.raises(ValueError):
-        reduce_binary(QuadForm.binary(1, 3, 1))
+        reduce_binary(QuadForm(1, 3, 1))
     with pytest.raises(ValueError):
-        reduce_binary(QuadForm.binary(-1, 0, -1))
+        reduce_binary(QuadForm(-1, 0, -1))
 
 
 def test_reduce_idempotent_and_equivalence_invariant():
@@ -187,7 +168,7 @@ def test_reduce_idempotent_and_equivalence_invariant():
     ],
 )
 def test_automorphism_counts(abc, full, proper):
-    f = QuadForm.binary(*abc)
+    f = QuadForm(*abc)
     assert automorphism_count(f) == full
     assert proper_automorphism_count(f) == proper
     assert aut_by_search(f) == (full, proper)
@@ -205,7 +186,7 @@ def test_automorphism_invariance_and_parity():
 
 def test_automorphism_rejects_indefinite():
     with pytest.raises(ValueError):
-        automorphism_count(QuadForm.binary(1, 3, 1))
+        automorphism_count(QuadForm(1, 3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +201,7 @@ def test_enumerate_examples():
 
 def test_enumerate_empty_iff_1_or_2_mod_4():
     for S in range(1, 200):
-        forms = enumerate_classes(S, include_imprimitive=True)
+        forms = enumerate_classes(S)
         if S % 4 in (1, 2):
             assert forms == []
         else:
@@ -243,12 +224,6 @@ def test_enumerate_pairwise_inequivalent_and_reduced():
             assert reduce_binary(f) == f
             t = random_sl2(rng)
             assert reduce_binary(f.transform(t)) == f
-
-
-def test_imprimitive_forms_are_tagged_not_lost():
-    all_forms = enumerate_classes(12, include_imprimitive=True)
-    assert (2, 2, 2) in [f.abc for f in all_forms]
-    assert [f.abc for f in enumerate_classes(12)] == [(1, 0, 3)]
 
 
 def test_improper_class_grouping():
@@ -280,16 +255,16 @@ def test_improper_class_grouping():
 
 def test_hasse_examples():
     # 2xy ~ <1, -1>: the pairwise symbol is trivial at 2
-    hyperbolic = QuadForm(((0, 2), (2, 0)))
+    hyperbolic = QuadForm(0, 2, 0)
     assert hasse_invariant(hyperbolic, 2) == 1
     for p, u1, u2 in [(3, 1, 1), (3, 2, 1), (5, 2, 3), (7, 3, 5)]:
-        f = QuadForm.diagonal(u1, p * u2)
+        f = QuadForm(u1, 0, p * u2)
         assert hasse_invariant(f, p) == legendre(u1, p)
 
 
 def test_hasse_rejects_degenerate():
     with pytest.raises(ValueError):
-        hasse_invariant(QuadForm.binary(1, 2, 1), 2)
+        hasse_invariant(QuadForm(1, 2, 1), 2)
 
 
 def test_hasse_product_formula_over_enumerated_forms():
@@ -302,7 +277,7 @@ def test_hasse_product_formula_over_enumerated_forms():
 
 
 def test_scale_hasse_by_one_is_identity():
-    f = QuadForm.binary(2, 1, 3)
+    f = QuadForm(2, 1, 3)
     for place in (2, 3, 23, OO):
         assert scale_hasse(1, f, place) == hasse_invariant(f, place)
 
@@ -312,7 +287,7 @@ def test_scale_hasse_matches_direct_recomputation():
     for _ in range(50):
         f = random_posdef(rng)
         for u in (-1, 2, 3, 5):
-            scaled = QuadForm(tuple(tuple(u * x for x in row) for row in f.hessian))
+            scaled = QuadForm(*(u * x for x in f.abc))
             for place in (2, 3, 5, OO):
                 assert scale_hasse(u, f, place) == hasse_invariant(scaled, place)
 
@@ -332,7 +307,7 @@ nonzero = st.integers(-60, 60).filter(bool)
 @example(0, 1, 0, 2, 1, 1, 3)  # a = c = 0: the hyperbolic plane xy
 @example(0, 6, 0, 1, 0, 0, -1)
 def test_hasse_invariant_is_a_rational_isometry_invariant(a, b, c, p, q, r, s):
-    f = QuadForm.binary(a, b, c)
+    f = QuadForm(a, b, c)
     assume(det_hessian(f) != 0 and p * s - q * r != 0)
     g = f.transform(((p, q), (r, s)))
     for v in PLACES:
@@ -342,7 +317,7 @@ def test_hasse_invariant_is_a_rational_isometry_invariant(a, b, c, p, q, r, s):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(nonzero, nonzero)
 def test_hasse_invariant_of_diagonal_form_is_the_hilbert_symbol(u1, u2):
-    f = QuadForm.diagonal(u1, u2)
+    f = QuadForm(u1, 0, u2)
     for v in PLACES:
         assert hasse_invariant(f, v) == hilbert_symbol(u1, u2, v)
 
@@ -357,7 +332,7 @@ def reduced_primitive_forms(draw):
     b = draw(st.integers(-a + 1, a))
     c = draw(st.integers(a, 30))
     assume(not (b < 0 and a == c))
-    f = QuadForm.binary(a, b, c)
+    f = QuadForm(a, b, c)
     assume(is_primitive(f))
     return f
 

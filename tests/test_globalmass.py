@@ -22,7 +22,6 @@ from qfmass.globalmass import (
     genus_census,
     is_fundamental_discriminant,
     kappa,
-    kneser_counts,
     l_value_truncated,
     mu_order,
     report_csv_rows,
@@ -297,19 +296,6 @@ def test_dirichlet_check_examples():
     assert res["h"] == 1 and res["w"] == 6 and res["rel_err"] < 1e-3
     res = dirichlet_check(-15)
     assert res["h"] == 2 and res["w"] == 2 and res["rel_err"] < 1e-3
-
-
-def test_kneser_counts():
-    res = kneser_counts(-4)
-    assert res["G_order"] == 2 and res["aut_orders"] == [8]
-    assert res["claimed_aut_order"] == 8 and res["aut_discrepancies"] == []
-    res = kneser_counts(-3)
-    assert res["aut_orders"] == [12] and res["claimed_aut_order"] == 12
-    res = kneser_counts(-23)
-    # the ambiguous class attains the claimed order 2|mu|; the others do not
-    assert res["G_order"] == 6
-    assert sorted(res["aut_orders"]) == [2, 2, 4]
-    assert res["aut_discrepancies"] == [(2, -1, 3), (2, 1, 3)]
 
 
 def test_mu_order():

@@ -32,18 +32,18 @@ from .test_forms import random_posdef, random_sl2
 
 
 def test_jordan_unimodular():
-    sym = jordan_split_odd(QuadForm.binary(1, 0, 1), 5)
+    sym = jordan_split_odd(QuadForm(1, 0, 1), 5)
     assert sym.blocks == ((0, 2, legendre(4, 5)),)
     assert sym.nu == 0
 
 
 def test_jordan_split_examples():
-    sym = jordan_split_odd(QuadForm.binary(1, 1, 1), 3)
+    sym = jordan_split_odd(QuadForm(1, 1, 1), 3)
     assert sym.blocks == ((0, 1, QR), (1, 1, QR))
-    sym = jordan_split_odd(QuadForm.diagonal(1, 5), 5)
+    sym = jordan_split_odd(QuadForm(1, 0, 5), 5)
     assert sym.blocks == ((0, 1, QR), (1, 1, QR))
     # det_H = 40 with unit part 8 ~ NQR mod 5, so the tags multiply to NQR
-    sym = jordan_split_odd(QuadForm.diagonal(2, 5), 5)
+    sym = jordan_split_odd(QuadForm(2, 0, 5), 5)
     assert sym.blocks == ((0, 1, NQR), (1, 1, QR))
 
 
@@ -60,9 +60,9 @@ def test_jordan_hasse_consistent_with_direct_invariant():
 
 def test_jordan_rejects_bad_input():
     with pytest.raises(ValueError):
-        jordan_split_odd(QuadForm.binary(1, 0, 1), 2)
+        jordan_split_odd(QuadForm(1, 0, 1), 2)
     with pytest.raises(ValueError):
-        jordan_split_odd(QuadForm.binary(1, 2, 1), 3)
+        jordan_split_odd(QuadForm(1, 2, 1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +70,13 @@ def test_jordan_rejects_bad_input():
 
 
 def test_genus_symbol_2_examples():
-    sym = genus_symbol_2(QuadForm.binary(1, 1, 1))
+    sym = genus_symbol_2(QuadForm(1, 1, 1))
     assert (sym.shape, sym.unit, sym.c2) == (SHAPE_BAR2, 3, -1)
-    sym = genus_symbol_2(QuadForm.binary(1, 0, 1))
+    sym = genus_symbol_2(QuadForm(1, 0, 1))
     assert (sym.shape, sym.nu, sym.unit, sym.c2) == (SHAPE_I2, 2, 1, 1)
-    sym = genus_symbol_2(QuadForm.binary(1, 0, 2))
+    sym = genus_symbol_2(QuadForm(1, 0, 2))
     assert (sym.shape, sym.nu, sym.unit) == (SHAPE_11, 3, 1)
-    assert sym.c2 == hasse_invariant(QuadForm.binary(1, 0, 2), 2) == 1
+    assert sym.c2 == hasse_invariant(QuadForm(1, 0, 2), 2) == 1
 
 
 def test_shape_is_determined_by_nu():
@@ -101,7 +101,7 @@ def test_no_primitive_form_has_nu_one():
 
 def test_genus_symbol_2_requires_primitive():
     with pytest.raises(ValueError):
-        genus_symbol_2(QuadForm.binary(2, 0, 2))
+        genus_symbol_2(QuadForm(2, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +109,22 @@ def test_genus_symbol_2_requires_primitive():
 
 
 def test_same_genus_examples():
-    f = QuadForm.binary(2, 1, 3)
-    g = QuadForm.binary(2, -1, 3)
+    f = QuadForm(2, 1, 3)
+    g = QuadForm(2, -1, 3)
     assert same_genus(f, g)
     assert same_genus(f, f)
     # det 23 is a prime discriminant: a single genus holds all three classes
-    assert same_genus(QuadForm.binary(1, 1, 6), f)
+    assert same_genus(QuadForm(1, 1, 6), f)
 
 
 def test_same_genus_splits_det_36():
-    f, g = QuadForm.binary(1, 0, 9), QuadForm.binary(2, 2, 5)
+    f, g = QuadForm(1, 0, 9), QuadForm(2, 2, 5)
     assert not same_genus(f, g)
 
 
 def test_same_genus_splits_det_48_by_lead_unit():
     # both genera share (shape, unit, c2) at 2; the leading unit separates them
-    f, g = QuadForm.binary(1, 0, 12), QuadForm.binary(3, 0, 4)
+    f, g = QuadForm(1, 0, 12), QuadForm(3, 0, 4)
     s1, s2 = genus_symbol_2(f), genus_symbol_2(g)
     assert (s1.shape, s1.unit, s1.c2) == (s2.shape, s2.unit, s2.c2)
     assert s1.lead_unit != s2.lead_unit
@@ -133,7 +133,7 @@ def test_same_genus_splits_det_48_by_lead_unit():
 
 def test_same_genus_rejects_mismatched_determinants():
     with pytest.raises(ValueError):
-        same_genus(QuadForm.binary(1, 1, 1), QuadForm.binary(1, 0, 1))
+        same_genus(QuadForm(1, 1, 1), QuadForm(1, 0, 1))
 
 
 def test_same_genus_equivalence_relation_and_proper_invariance():

@@ -97,16 +97,16 @@ def test_generic_density_examples():
 
 
 def test_count_SO_examples():
-    f = QuadForm.binary(1, 0, 1)
+    f = QuadForm(1, 0, 1)
     assert count_SO_mod_p(f, 5) == 4  # split torus: q - 1
     assert count_SO_mod_p(f, 3) == 4  # nonsplit torus: q + 1
 
 
 def test_count_SO_rejects_bad_reduction():
     with pytest.raises(ValueError):
-        count_SO_mod_p(QuadForm.binary(1, 1, 1), 3)
+        count_SO_mod_p(QuadForm(1, 1, 1), 3)
     with pytest.raises(ValueError):
-        count_SO_mod_p(QuadForm.binary(1, 0, 1), 2)
+        count_SO_mod_p(QuadForm(1, 0, 1), 2)
 
 
 def test_hensel_consistency():
