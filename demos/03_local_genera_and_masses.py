@@ -17,7 +17,9 @@ from qfmass import (
 
 f = QuadForm(1, 1, 1)
 print("x^2 + xy + y^2 at p = 3:", jordan_split_odd(f, 3))
-print("x^2 + xy + y^2 at p = 2:", genus_symbol_2(f))
+sym2 = genus_symbol_2(f)
+print("x^2 + xy + y^2 at p = 2:", sym2)
+print(f"  shape {sym2.shape} (a function of nu = {sym2.nu}), Hasse label {sym2.label:+d}")
 
 print("\n2x^2 + xy + 3y^2 and its mirror lie in one genus:")
 print("  same_genus =", same_genus(QuadForm(2, 1, 3), QuadForm(2, -1, 3)))
@@ -25,12 +27,12 @@ print("  same_genus =", same_genus(QuadForm(2, 1, 3), QuadForm(2, -1, 3)))
 print("\nAll local genera with det class 3 * 2^nu at p = 2 (allowed nu skips 1):")
 for nu in range(0, 7):
     rows = enumerate_local_genera(2, LocalSquareClass(2, nu, 3))
-    summary = ", ".join(f"c2={label:+d}" for _, label in rows) or "none"
+    summary = ", ".join(f"{sym.shape} label={sym.label:+d}" for sym in rows) or "none"
     print(f"  nu = {nu}: {len(rows)} genera  [{summary}]")
 
 print("\np-masses are exact half-powers r * q^(k/2); densities are rational:")
 for nu in (0, 2, 3, 5):
-    for sym, _ in enumerate_local_genera(2, LocalSquareClass(2, nu, 3)):
+    for sym in enumerate_local_genera(2, LocalSquareClass(2, nu, 3)):
         m = p_mass(sym)
         print(
             f"  nu={nu}: p-mass = {m.coeff} * 2^({m.half_exponent}/2)"

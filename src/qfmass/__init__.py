@@ -23,7 +23,6 @@ from .euler import (
     closed_form_report,
     decomposition_check,
     genus_partition,
-    normalized_mass_sum,
     sign_tuple_identity,
 )
 from .forms import (

@@ -134,7 +134,11 @@ def _rf_str(rf) -> str:
     return f"({poly(rf.num)}) / ({poly(rf.den)})"
 
 
-def _verify_decomposition(max_det: int, instances: int = 50, seed: int = 20237) -> tuple[bool, list[str]]:
+# Hasse-constrained decomposition checks per run, drawn from a fixed seed
+CONSTRAINED_INSTANCES = 50
+
+
+def _verify_decomposition(max_det: int) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     bad = 0
@@ -146,9 +150,9 @@ def _verify_decomposition(max_det: int, instances: int = 50, seed: int = 20237) 
             if bad <= 10:
                 lines.append(f"FAIL decomposition S={S}: lhs={res['lhs']} rhs={res['rhs']}")
     lines.append(f"{'PASS' if ok else 'FAIL'} decomposition unconstrained S<=:{max_det}")
-    rng = random.Random(seed)
+    rng = random.Random(20237)
     cons_ok = True
-    for _ in range(instances):
+    for _ in range(CONSTRAINED_INSTANCES):
         S = rng.randint(1, max_det)
         pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
         k = rng.randint(1, min(3, len(pool)))
@@ -158,7 +162,7 @@ def _verify_decomposition(max_det: int, instances: int = 50, seed: int = 20237) 
         if not res["equal"]:
             cons_ok = False
             lines.append(f"FAIL decomposition S={S} constraints={cons}: lhs={res['lhs']} rhs={res['rhs']}")
-    lines.append(f"{'PASS' if cons_ok else 'FAIL'} decomposition constrained ({instances} instances)")
+    lines.append(f"{'PASS' if cons_ok else 'FAIL'} decomposition constrained ({CONSTRAINED_INSTANCES} instances)")
     sign_ok = all(sign_tuple_identity(t, c) for t in (1, 2, 3, 4) for c in (1, -1))
     lines.append(f"{'PASS' if sign_ok else 'FAIL'} sign-tuple polynomial identity |T|<=4")
     return ok and cons_ok and sign_ok, lines
@@ -239,6 +243,8 @@ def cmd_verify(args) -> int:
         run = _verify_decomposition if args.suite == "decomposition" else _verify_siegel
         ok, lines = run(args.max_det)
     elif args.suite == "class-number":
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            return _fail_usage("--tol must be a positive finite number")
         if args.dmax < 3:
             return _fail_usage("--dmax must be at least 3")
         _l_terms(-3, args.prime_bound)  # a bad --prime-bound is refused as such
@@ -294,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    tol = getattr(args, "tol", 1.0)
-    if not (math.isfinite(tol) and tol > 0):
-        return _fail_usage("--tol must be a positive finite number")
     try:
         return args.func(args)
     except (OSError, ValueError, ZeroDivisionError) as exc:

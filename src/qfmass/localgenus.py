@@ -6,7 +6,8 @@ The rank-2 shape at 2 is a function of nu = ord_2(det_H) alone:
 nu = 0 -> (2bar), nu = 2 -> (2), nu = 3 -> (1,1), nu = 4 -> (1;1),
 nu >= 5 -> (1::1); nu = 1 cannot occur (4ac - b^2 is 0 or 3 mod 4).
 
-Genus labels c_2 follow the sign convention of the 2-adic distribution
+Each symbol carries its Hasse label as `label`, the only place a label
+lives.  Labels c_2 at 2 follow the sign convention of the 2-adic distribution
 table: on the even-unimodular row (nu = 0) the label is -1 for both unit
 classes, which differs from the pairwise Hilbert-symbol value +1 of the
 underlying spaces.  The global bookkeeping compensates; see euler.py.
@@ -67,7 +68,8 @@ class OddGenusSymbol:
         """Integer representing the determinant unit class (for chi/gamma)."""
         return _tag_rep(self.p, self.det_tag())
 
-    def hasse(self) -> int:
+    @property
+    def label(self) -> int:
         """Hasse invariant of any form in the genus (leading tag^nu)."""
         if len(self.blocks) == 1:
             return 1
@@ -77,16 +79,19 @@ class OddGenusSymbol:
 
 @dataclass(frozen=True)
 class TwoAdicGenusSymbol:
-    """2-adic invariant: block shape, determinant unit mod 8, Hasse label c_2,
+    """2-adic invariant: ord_2(det), determinant unit mod 8, Hasse label c_2,
     and (for scale gaps >= 2) the leading-block unit class."""
 
-    shape: str
     nu: int
     unit: int
-    c2: int
+    label: int
     lead_unit: int | None
 
     p: int = 2
+
+    @property
+    def shape(self) -> str:
+        return shape_for_nu(self.nu)
 
     def unit_rep(self) -> int:
         return self.unit
@@ -137,11 +142,10 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     nu, unit = sq.val, sq.unit
     if nu == 0:
         # even-unimodular row: table label, not the pairwise-symbol value
-        return TwoAdicGenusSymbol(SHAPE_BAR2, 0, unit, -1, None)
+        return TwoAdicGenusSymbol(0, unit, -1, None)
     a, _, c = f.abc
     u1 = a if a % 2 else c
-    c2 = hasse_invariant(f, 2)
-    return TwoAdicGenusSymbol(shape_for_nu(nu), nu, unit, c2, _canonical_lead(nu, u1 % 8))
+    return TwoAdicGenusSymbol(nu, unit, hasse_invariant(f, 2), _canonical_lead(nu, u1 % 8))
 
 
 def local_symbol(f: QuadForm, p: int) -> LocalGenusSymbol:
@@ -167,9 +171,9 @@ def same_genus(f: QuadForm, g: QuadForm) -> bool:
 
 def enumerate_local_genera(
     p: int, S_p: LocalSquareClass
-) -> list[tuple[LocalGenusSymbol, int]]:
+) -> list[LocalGenusSymbol]:
     """All local genera of primitive binary p-integral forms of determinant
-    class S_p, each with its Hasse label.  Empty when no genus exists."""
+    class S_p.  Empty when no genus exists."""
     if S_p.p != p:
         raise ValueError("squareclass prime mismatch")
     if S_p.val < 0:
@@ -177,38 +181,26 @@ def enumerate_local_genera(
     nu, u = S_p.val, S_p.unit
     if p != 2:
         if nu == 0:
-            return [(OddGenusSymbol(p, ((0, 2, u),)), 1)]
-        out = []
-        for eps1 in (QR, NQR):
-            sym = OddGenusSymbol(p, ((0, 1, eps1), (nu, 1, u * eps1)))
-            out.append((sym, sym.hasse()))
-        return out
+            return [OddGenusSymbol(p, ((0, 2, u),))]
+        return [OddGenusSymbol(p, ((0, 1, eps1), (nu, 1, u * eps1))) for eps1 in (QR, NQR)]
     if nu == 0:
         if u % 4 != 3:
             return []
-        return [(TwoAdicGenusSymbol(SHAPE_BAR2, 0, u, -1, None), -1)]
+        return [TwoAdicGenusSymbol(0, u, -1, None)]
     if nu == 1:
         return []
-    shape = shape_for_nu(nu)
-    out = []
     if nu == 2:
         if u % 4 == 1:
-            for u1 in (1, 3):
-                c = hilbert_symbol(u1, u1 * u % 8, 2)
-                out.append((TwoAdicGenusSymbol(shape, nu, u, c, None), c))
-        else:
-            out.append((TwoAdicGenusSymbol(shape, nu, u, 1, None), 1))
-        return out
+            return [TwoAdicGenusSymbol(nu, u, hilbert_symbol(u1, u1 * u % 8, 2), None) for u1 in (1, 3)]
+        return [TwoAdicGenusSymbol(nu, u, 1, None)]
     if nu == 3:
-        for c in (1, -1):
-            out.append((TwoAdicGenusSymbol(shape, nu, u, c, None), c))
-        return out
-    leads = (1, 3) if nu == 4 else (1, 3, 5, 7)
-    for u1 in leads:
+        return [TwoAdicGenusSymbol(nu, u, c, None) for c in (1, -1)]
+    out = []
+    for u1 in (1, 3) if nu == 4 else (1, 3, 5, 7):
         u2 = u1 * u % 8
         # 2^(nu % 2) * u2 is in the squareclass of 2^(nu - 2) * u2
         c = hilbert_symbol(u1, 2 ** (nu % 2) * u2, 2)
-        out.append((TwoAdicGenusSymbol(shape, nu, u, c, _canonical_lead(nu, u1)), c))
+        out.append(TwoAdicGenusSymbol(nu, u, c, _canonical_lead(nu, u1)))
     return out
 
 
@@ -226,12 +218,12 @@ def representative_form(sym: LocalGenusSymbol) -> QuadForm:
     if nu == 0:
         return QuadForm(1, 1, 1) if u % 8 == 3 else QuadForm(1, 1, 2)
     if nu == 2:
-        if u % 4 == 3 or sym.c2 == 1:
+        if u % 4 == 3 or sym.label == 1:
             return QuadForm(1, 0, u)
         return QuadForm(3, 0, 3 * u % 8)
     if nu == 3:
         for u1 in (1, 3, 5, 7):
-            if hilbert_symbol(u1, 2 * (u1 * u % 8), 2) == sym.c2:
+            if hilbert_symbol(u1, 2 * (u1 * u % 8), 2) == sym.label:
                 return QuadForm(u1, 0, 2 * (u1 * u % 8))
         raise ValueError("no representative found")  # unreachable for valid symbols
     for u1 in (1, 3, 5, 7):

@@ -69,6 +69,21 @@ def test_classify_range_without_realizable_det_needs_no_l_value(capsys):
     assert code == 0 and [obj["mass_exact"] for obj in json.loads(out)] == ["0", "0"]
 
 
+def test_classify_unrealizable_det_scans_no_class(monkeypatch, capsys):
+    # 4ac - b^2 is never 1 or 2 mod 4, so the census is empty without a scan
+    def no_scan(S):
+        raise AssertionError(f"class scan of {S}")
+
+    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
+    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    euler.genus_partition.cache_clear()
+    code, out, _ = run_cli(capsys, "classify", "--det", "999999999997")
+    objs = json.loads(out)
+    assert code == 0 and objs[0]["classes"] == [] and objs[0]["mass_exact"] == "0"
+    code, _, err = run_cli(capsys, "classify", "--det", "1000000000001")
+    assert code == 2 and "factorization range" in err
+
+
 def test_classify_range_csv(capsys):
     code, out, _ = run_cli(capsys, "classify", "--det-range", "3:5", "--format", "csv")
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qfmass import cli, euler, forms, globalmass
-from qfmass.arith import NQR, QR, LocalSquareClass, factor, gamma_factor, legendre
+from qfmass.arith import factor, gamma_factor, legendre
 from qfmass.euler import (
     RationalFunction,
     a_coeff,
@@ -15,7 +15,6 @@ from qfmass.euler import (
     closed_form_report,
     decomposition_check,
     genus_partition,
-    normalized_mass_sum,
     sign_tuple_identity,
 )
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
@@ -40,24 +39,24 @@ def test_rational_function_normalization():
 
 
 # ---------------------------------------------------------------------------
-# normalized mass sums and coefficients
+# normalized mass sums M~^+- = (A +- B)/2 and coefficients
 
 
-def test_normalized_mass_sum_unimodular_odd():
+def test_hasse_split_mass_unimodular_odd():
     for p in (3, 5, 7):
-        for u in (QR, NQR):
-            S_p = LocalSquareClass(p, 0, u)
-            assert normalized_mass_sum(p, S_p, 1) == 1
-            assert normalized_mass_sum(p, S_p, -1) == 0
+        for u in (1, nonresidue(p)):
+            A, B = a_coeff(p, u, 0), b_coeff(p, u, 0)
+            assert (A + B) / 2 == 1
+            assert (A - B) / 2 == 0
 
 
-def test_normalized_mass_sum_nu_one_odd():
+def test_hasse_split_mass_nu_one_odd():
     for p in (3, 5):
-        for u in (QR, NQR):
-            S_p = LocalSquareClass(p, 1, u)
-            want = Fraction(1, 2 * p) * gamma_factor(1 if u == QR else nonresidue(p), p)
-            assert normalized_mass_sum(p, S_p, 1) == want
-            assert normalized_mass_sum(p, S_p, -1) == want
+        for u in (1, nonresidue(p)):
+            A, B = a_coeff(p, u, 1), b_coeff(p, u, 1)
+            want = Fraction(1, 2 * p) * gamma_factor(u, p)
+            assert (A + B) / 2 == want
+            assert (A - B) / 2 == want
 
 
 def test_coefficient_examples():
@@ -219,8 +218,8 @@ def test_genus_partition_labels_consistent():
     for S in (23, 36, 48, 75):
         for rec in genus_partition(S):
             prod = 1
-            for p, lbl in rec.labels.items():
-                prod *= lbl
+            for sym in rec.symbols.values():
+                prod *= sym.label
             assert prod == (-1 if S % 2 else 1)
 
 

@@ -55,7 +55,7 @@ def test_jordan_hasse_consistent_with_direct_invariant():
         for p in (3, 5, 7):
             if d % p:
                 continue
-            assert jordan_split_odd(f, p).hasse() == hasse_invariant(f, p)
+            assert jordan_split_odd(f, p).label == hasse_invariant(f, p)
 
 
 def test_jordan_rejects_bad_input():
@@ -71,12 +71,12 @@ def test_jordan_rejects_bad_input():
 
 def test_genus_symbol_2_examples():
     sym = genus_symbol_2(QuadForm(1, 1, 1))
-    assert (sym.shape, sym.unit, sym.c2) == (SHAPE_BAR2, 3, -1)
+    assert (sym.shape, sym.unit, sym.label) == (SHAPE_BAR2, 3, -1)
     sym = genus_symbol_2(QuadForm(1, 0, 1))
-    assert (sym.shape, sym.nu, sym.unit, sym.c2) == (SHAPE_I2, 2, 1, 1)
+    assert (sym.shape, sym.nu, sym.unit, sym.label) == (SHAPE_I2, 2, 1, 1)
     sym = genus_symbol_2(QuadForm(1, 0, 2))
     assert (sym.shape, sym.nu, sym.unit) == (SHAPE_11, 3, 1)
-    assert sym.c2 == hasse_invariant(QuadForm(1, 0, 2), 2) == 1
+    assert sym.label == hasse_invariant(QuadForm(1, 0, 2), 2) == 1
 
 
 def test_shape_is_determined_by_nu():
@@ -123,10 +123,10 @@ def test_same_genus_splits_det_36():
 
 
 def test_same_genus_splits_det_48_by_lead_unit():
-    # both genera share (shape, unit, c2) at 2; the leading unit separates them
+    # both genera share (shape, unit, label) at 2; the leading unit separates them
     f, g = QuadForm(1, 0, 12), QuadForm(3, 0, 4)
     s1, s2 = genus_symbol_2(f), genus_symbol_2(g)
-    assert (s1.shape, s1.unit, s1.c2) == (s2.shape, s2.unit, s2.c2)
+    assert (s1.shape, s1.unit, s1.label) == (s2.shape, s2.unit, s2.label)
     assert s1.lead_unit != s2.lead_unit
     assert not same_genus(f, g)
 
@@ -164,10 +164,10 @@ def test_enumerate_odd_p_counts():
     for p in (3, 5, 7, 11, 13, 17):
         for u in (QR, NQR):
             got = enumerate_local_genera(p, LocalSquareClass(p, 0, u))
-            assert len(got) == 1 and got[0][1] == 1
+            assert len(got) == 1 and got[0].label == 1
             for nu in range(1, 9):
                 got = enumerate_local_genera(p, LocalSquareClass(p, nu, u))
-                counts = Counter(label for _, label in got)
+                counts = Counter(sym.label for sym in got)
                 if nu % 2:
                     assert counts == Counter({1: 1, -1: 1})
                 else:
@@ -189,7 +189,7 @@ def test_enumerate_two_adic_counts_match_distribution_table():
                 expected[(nu, u)] = (2, 2)
     for (nu, u), (plus, minus) in expected.items():
         got = enumerate_local_genera(2, LocalSquareClass(2, nu, u))
-        counts = Counter(label for _, label in got)
+        counts = Counter(sym.label for sym in got)
         assert (counts[1], counts[-1]) == (plus, minus), (nu, u)
 
 
@@ -202,8 +202,8 @@ def test_representatives_realize_their_symbols():
     for p in (3, 5, 2):
         for u in ((QR, NQR) if p != 2 else (1, 3, 5, 7)):
             for nu in range(0, 8):
-                for sym, label in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
-                    f = representative_form(sym)
+                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                    f, label = representative_form(sym), sym.label
                     assert local_symbol(f, p) == sym
                     if p != 2:
                         assert hasse_invariant(f, p) == label
@@ -224,7 +224,7 @@ def test_completeness_census():
             for p in sorted({2} | {p for p, _ in factor(S)}):
                 sym = local_symbol(f, p)
                 table = enumerate_local_genera(p, LocalSquareClass.of(S, p))
-                match = [lbl for s, lbl in table if s == sym]
+                match = [s.label for s in table if s == sym]
                 assert len(match) == 1, (S, f.abc, p)
                 label_prod *= match[0]
                 plain_prod *= hasse_invariant(f, p)

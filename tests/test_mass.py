@@ -23,7 +23,7 @@ from .test_forms import random_posdef
 
 
 def _sym(p, nu, u, pick=0):
-    return enumerate_local_genera(p, LocalSquareClass(p, nu, u))[pick][0]
+    return enumerate_local_genera(p, LocalSquareClass(p, nu, u))[pick]
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_densities_always_rational():
         units = (1, 3, 5, 7) if p == 2 else (QR, NQR)
         for u in units:
             for nu in range(9):
-                for sym, _ in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
                     assert isinstance(local_density_inverse(sym), Fraction)
 
 
@@ -155,7 +155,7 @@ def test_density_ratio_table_values():
     for p in (3, 5):
         for u in (QR, NQR):
             for nu in (1, 2, 3):
-                for sym, _ in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
                     g = gamma_factor(sym.unit_rep(), p)
                     assert density_ratio(sym) == Fraction(1, 2) * g / p**nu
     # 2-adic rows
@@ -171,7 +171,7 @@ def test_density_memos_return_the_unmemoized_values():
     for p in (2, 3, 5, 7, 11):
         for nu in range(13):
             for u in (1, 3, 5, 7) if p == 2 else (QR, NQR):
-                symbols += [sym for sym, _ in enumerate_local_genera(p, LocalSquareClass(p, nu, u))]
+                symbols += enumerate_local_genera(p, LocalSquareClass(p, nu, u))
     for S in range(1, 501):
         for g in genus_census(S).genera:
             symbols += g.symbols.values()
