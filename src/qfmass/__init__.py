@@ -36,6 +36,7 @@ from .forms import (
     mirror,
     proper_automorphism_count,
     reduce_binary,
+    reduced_classes,
     scale_hasse,
 )
 from .globalmass import (

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import LocalSquareClass, chi, factor, gamma_factor, kronecker
-from .forms import QuadForm, enumerate_classes, mu_order
+from .forms import QuadForm, mu_order, reduced_classes
 from .localgenus import LocalGenusSymbol, enumerate_local_genera, genus_symbol_2, local_symbol
 from .mass import density_ratio
 
@@ -169,22 +169,53 @@ class GenusRecord:
     mass: Fraction  # sum over the classes of 1/(2 |proper Aut|)
 
 
+# Gauss's 2-adic assigned characters at an odd u, as their values at
+# u = 1, 3, 5, 7 (mod 8), indexed by (u >> 1) & 3
+_DELTA = (1, -1, 1, -1)  # (-1)^((u-1)/2)
+_EPSILON = (1, -1, -1, 1)  # (-1)^((u^2-1)/8)
+_DELTA_EPSILON = (1, 1, -1, -1)
+
+
+def _two_adic_characters(S: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The assigned 2-adic characters of discriminant -S, S = 0, 3 (mod 4),
+    by S mod 32 with n = S/4 (Cox, Primes of the form x^2 + ny^2, §3)."""
+    n = S // 4
+    if S % 4 == 3 or n % 4 == 3:
+        return ()
+    if n % 4 == 1 or n % 8 == 4:
+        return (_DELTA,)
+    if n % 8 == 2:
+        return (_DELTA_EPSILON,)
+    if n % 8 == 6:
+        return (_EPSILON,)
+    return (_DELTA, _EPSILON)  # n = 0 (mod 8)
+
+
 @lru_cache(maxsize=1)
 def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     """Primitive proper classes of determinant S grouped into genera, the
-    only enumeration behind the census.  Classes keep the `abc` order of
-    enumerate_classes, within and across genera.  Memoized for the latest
-    S: the census and both decomposition checks of one S share one build.
+    only enumeration behind the census.  The classes come from the class
+    source `reduced_classes` in `abc` order, kept within and across genera.
+    Memoized for the latest S: the census and both decomposition checks of
+    one S share one build.
 
-    Classes are grouped by a cheap key, and `local_symbol` runs once per
-    genus, on its first class, at every odd p | S.  At an odd p | S the key is
-    Gauss's assigned character t_p = (a|p), or (c|p) when p | a.  A
-    primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
-    (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with u1
-    = a or c the p-unit; so its Jordan symbol is ((0, 1, t_p), (v, 1, d t_p))
-    with v = ord_p(S) and d the unit class of S, both fixed by S.  Equal t_p
-    thus means an equal odd symbol.  The 2-adic symbol is the key's own
-    `genus_symbol_2(f)`, computed once per class and taken from the key.
+    Classes are grouped by Gauss's assigned characters (Cox, Primes of the
+    form x^2 + ny^2, §3), and the local symbols are built once per genus, on
+    its first class: `genus_symbol_2` at 2 and `local_symbol` at every odd
+    p | S.  The characters read values the form represents.
+
+    - At an odd p | S the key is t_p = (a|p), or (c|p) when p | a.  A
+      primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
+      (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with
+      u1 = a or c the p-unit; so its Jordan symbol is
+      ((0, 1, t_p), (v, 1, d t_p)) with v = ord_p(S) and d the unit class of
+      S, both fixed by S.  Equal t_p thus means an equal odd symbol.
+    - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
+      eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
+      (b = S (mod 2), so a and c are not both even).  With n = S/4, the
+      characters are none for S = 3 (mod 4) or n = 3 (mod 4); delta for
+      n = 1 (mod 4) or n = 4 (mod 8); delta*eps for n = 2 (mod 8); eps for
+      n = 6 (mod 8); delta and eps for n = 0 (mod 8).
 
     Automorphism orders come from the closed form for a reduced primitive
     form of discriminant -S: |proper Aut| = w = mu_order(-S), and |Aut| is 2w
@@ -196,24 +227,27 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
+    chars = _two_adic_characters(S)
+    key_2 = [tuple(ch[i] for ch in chars) for i in range(4)]
 
     def aut_order(f: QuadForm) -> int:
         a, b, c = f.abc
         return 2 * w if b == 0 or a == b or a == c else w
 
     groups: dict[tuple, list[QuadForm]] = {}
-    for f in enumerate_classes(S):
+    for f in reduced_classes(S):
         a, _, c = f.abc
-        key = (genus_symbol_2(f), *(kronecker(a if a % p else c, p) for p in odd))
+        u = a if a & 1 else c
+        key = (key_2[(u >> 1) & 3], *(kronecker(a if a % p else c, p) for p in odd))
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
     records = []
-    for key, classes in groups.items():
-        syms = {2: key[0], **{p: local_symbol(classes[0], p) for p in odd}}
+    for classes in groups.values():
+        first = classes[0]
         records.append(
             GenusRecord(
                 classes=tuple(classes),
-                symbols=syms,
+                symbols={2: genus_symbol_2(first), **{p: local_symbol(first, p) for p in odd}},
                 aut_orders=[aut_order(f) for f in classes],
                 mass=Fraction(len(classes), 2 * w),
             )

@@ -7,13 +7,16 @@ forms occur, so determinants and Hasse invariants are closed forms:
 a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
 takes, hence c_v = (x, -det_H/4)_v = (x, -det_H)_v, since 4 is a square.
 
-The enumeration here is the brute-force oracle the analytic machinery is
-checked against, so it stays elementary on purpose.
+The census reads its classes from `reduced_classes`, a blocked numpy scan.
+`enumerate_classes` is the brute-force oracle that scan and the analytic
+machinery are checked against, so it stays elementary on purpose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+
+import numpy as np
 
 from .arith import hilbert_symbol
 
@@ -160,6 +163,9 @@ def enumerate_classes(S: int) -> list[QuadForm]:
     det_hessian = S, one per proper class, in `abc` order: the loop runs over
     a, then b, and c is fixed by (a, b).
 
+    This is the elementary oracle for `reduced_classes`, which the census
+    uses; nothing outside the tests and `improper_classes` calls it.
+
     Empty exactly when S = 1, 2 (mod 4): 4ac - b^2 is 0 or 3 mod 4, and for
     S = 0, 3 (mod 4) the principal form (1, S mod 2, c) is primitive.
     """
@@ -180,6 +186,57 @@ def enumerate_classes(S: int) -> list[QuadForm]:
             if is_primitive(f):
                 out.append(f)
     return out
+
+
+# Most (a, b) pairs one block of the `reduced_classes` scan holds: each
+# int64 array of a block is 2 MiB, and at most five are alive at once.
+SCAN_BLOCK_PAIRS = 1 << 18
+
+
+def reduced_classes(S: int) -> list[QuadForm]:
+    """The classes of `enumerate_classes(S)`, in the same `abc` order, from a
+    numpy scan: the census's class source.
+
+    A reduced form has |b| <= a <= sqrt(S/3), and 4ac - b^2 = S forces
+    b = S (mod 2), so each a has exactly a candidates b in (-a, a].  The scan
+    keeps the (a, b) with 4a | S + b^2, c = (S + b^2)/4a >= a, not (b < 0 and
+    a = c), and gcd(a, b, c) = 1.  It runs over blocks of consecutive a of at
+    most SCAN_BLOCK_PAIRS pairs (one block up to S of about 1.5 * 10^6), so
+    memory stays bounded at any S; the forms get Python ints.
+    """
+    if S <= 0:
+        raise ValueError("determinant must be positive")
+    a_max = isqrt(S // 3)
+    out: list[QuadForm] = []
+    a0 = 1
+    while a0 <= a_max:
+        # the largest a1 with a0 + ... + (a1 - 1) <= SCAN_BLOCK_PAIRS, at least a0 + 1
+        n = 2 * SCAN_BLOCK_PAIRS + a0 * (a0 - 1)
+        a1 = min(max((1 + isqrt(1 + 4 * n)) // 2, a0 + 1), a_max + 1)
+        out += _reduced_block(S, a0, a1)
+        a0 = a1
+    return out
+
+
+def _reduced_block(S: int, a0: int, a1: int) -> list[QuadForm]:
+    """The `reduced_classes` of S with a0 <= a < a1."""
+    a = np.arange(a0, a1, dtype=np.int64)
+    # the candidates of a are b = b0(a) + 2k, k < a, with b0 the least b > -a, b = S (mod 2)
+    b0 = 1 - a + (a + 1 + S) % 2
+    start = np.cumsum(a) - a  # index of each a's first pair
+    b = np.arange(int(a.sum()), dtype=np.int64)
+    b *= 2
+    b += np.repeat(b0 - 2 * start, a)
+    a = np.repeat(a, a)
+    num = b * b
+    num += S
+    hit = num % (4 * a) == 0
+    a, b, num = a[hit], b[hit], num[hit]
+    c = num // (4 * a)
+    keep = (c >= a) & ~((b < 0) & (a == c))
+    a, b, c = a[keep], b[keep], c[keep]
+    keep = np.gcd(np.gcd(a, b), c) == 1
+    return list(map(QuadForm, a[keep].tolist(), b[keep].tolist(), c[keep].tolist()))
 
 
 def mirror(f: QuadForm) -> QuadForm:

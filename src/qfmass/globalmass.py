@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import factor, kronecker
 from .euler import GenusRecord, genus_partition
-from .forms import QuadForm, enumerate_classes, mu_order
+from .forms import QuadForm, mu_order, reduced_classes
 
 SCHEMA_VERSION = 1
 
@@ -83,39 +83,52 @@ def _char_table(D: int) -> np.ndarray:
     for 0 < r < P, and entry 0 is kronecker(D, P), so table[m % P] = chi_D(m)
     for every m >= 1.
 
-    (D|r) is completely multiplicative in r.  Write r = 2^k r' with r' odd
-    and |D| = 2^a prod p^e over odd primes p.  Then
-    (D|r) = (D|2)^k (sign D|r') (2|r')^a prod (p|r')^e, where
-    - (D|2) is 0 for even D, +1 for D = +-1 and -1 for D = +-3 (mod 8);
-    - (-1|r') = -1 iff r' = 3 (mod 4), and (2|r') = -1 iff r' = 3, 5 (mod 8);
-    - for even e, (p|r')^e is 0 on the multiples of p and 1 elsewhere;
-    - for odd e, reciprocity gives (p|r') = (r'|p) (-1)^((p-1)/2 (r'-1)/2),
-      a Legendre table lookup at r' mod p.  The reciprocity signs and the
-      sign of D combine into one factor -1 on r' = 3 (mod 4).
-    (Cohen, A Course in Computational Algebraic Number Theory, 1.4.)
+    (D|r) is completely multiplicative in r.  Write |D| = 2^a prod p^e over
+    odd primes p.  For odd r,
+    (D|r) = (sign D|r) (2|r)^a prod (p|r)^e, where
+    - (-1|r) = -1 iff r = 3 (mod 4), and (2|r) = -1 iff r = 3, 5 (mod 8);
+    - for even e, (p|r)^e is 0 on the multiples of p and 1 elsewhere;
+    - for odd e, reciprocity gives (p|r) = (r|p) (-1)^((p-1)/2 (r-1)/2).
+      The reciprocity signs and the sign of D combine into one factor -1 on
+      r = 3 (mod 4).
+    Every factor is periodic in r with a period dividing P, so the odd
+    entries come from tiling: the table, viewed as P/q rows of q, is
+    multiplied by the Legendre table (r|p) of each p with odd e (q = p), and
+    by one sign table of period q = 8, 4 or 1.  P is divisible by q: the
+    (2|r) factor occurs for odd a, where 8 | D or D = 2 (mod 4), and the
+    (-1|r) factor only for even D or D = 3 (mod 4).  The even entries
+    r = 2^k r', r' odd, are then (D|2)^k (D|r'), copied from the odd entries
+    one k at a time; that is 0 for even D, and for D = 1 (mod 4) it rewrites
+    the values the tiling already gave.  No P-long index or remainder array
+    is built.  (Cohen, A Course in Computational Algebraic Number Theory,
+    1.4.)
     """
     P = _char_period(D)
-    odd = np.arange(P, dtype=np.int64)
-    low = odd & -odd  # 2^k
-    low[0] = 1  # no 0 // 0 at r = 0, whose entry is set last
-    odd //= low  # r'
     table = np.ones(P, dtype=np.int8)
-    if D % 2 == 0:
-        table[low > 1] = 0
-    elif D % 8 in (3, 5):
-        table[(low & 0x2AAAAAAAAAAAAAAA) != 0] = -1  # k odd
-    mod4_sign = D < 0
+    flip_3_mod_4 = D < 0
+    flip_3_5_mod_8 = False
     for p, e in factor(abs(D)):
         if p == 2:
-            if e % 2:
-                table[(odd % 8 == 3) | (odd % 8 == 5)] *= -1
+            flip_3_5_mod_8 = e % 2 == 1
         elif e % 2:
-            table *= _legendre_table(p)[odd % p]
-            mod4_sign ^= p % 4 == 3
+            table.reshape(-1, p)[:] *= _legendre_table(p)
+            flip_3_mod_4 ^= p % 4 == 3
         else:
             table[::p] = 0
-    if mod4_sign:
-        table[odd % 4 == 3] *= -1
+    sign = np.ones(8, dtype=np.int8)
+    if flip_3_mod_4:
+        sign[[3, 7]] = -1
+    if flip_3_5_mod_8:
+        sign[[3, 5]] *= -1
+    q = 8 if flip_3_5_mod_8 else 4 if flip_3_mod_4 else 1
+    table.reshape(-1, q)[:] *= sign[:q]
+    odd = table[1::2]
+    chi_2 = kronecker(D, 2)
+    step, chi_step = 2, chi_2
+    while step < P:
+        even = table[step :: 2 * step]  # r = step * r', r' = 1, 3, 5, ...
+        np.multiply(odd[: len(even)], chi_step, out=even)
+        step, chi_step = 2 * step, chi_step * chi_2
     table[0] = kronecker(D, P)
     return table
 
@@ -268,10 +281,11 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 def class_number(D: int) -> int:
     """h(D) = number of proper classes of primitive forms with det_H = |D|,
-    for a negative fundamental discriminant D (census based)."""
+    for a negative fundamental discriminant D, from the census's class
+    source `reduced_classes`."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a negative fundamental discriminant")
-    return len(enumerate_classes(-D))
+    return len(reduced_classes(-D))
 
 
 def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:

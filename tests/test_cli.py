@@ -15,6 +15,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_class_scans(monkeypatch):
+    """Make every class scan, the census's source and the oracle, raise."""
+
+    def no_scan(S):
+        raise AssertionError(f"class scan of {S}")
+
+    for mod, name in ((forms, "enumerate_classes"), (forms, "reduced_classes"), (euler, "reduced_classes")):
+        monkeypatch.setattr(mod, name, no_scan)
+
+
 def test_classify_det_23(capsys):
     code, out, _ = run_cli(capsys, "classify", "--det", "23")
     assert code == 0
@@ -43,22 +53,14 @@ def test_classify_refuses_oversized_l_value(capsys):
 
 
 def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsys):
-    def no_scan(S):
-        raise AssertionError(f"class scan of {S}")
-
-    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
-    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    refuse_class_scans(monkeypatch)
     code, out, err = run_cli(capsys, "classify", "--det", "100000003")
     assert code == 2 and out == "" and "L-value needs 1000000030 terms" in err
 
 
 @pytest.mark.parametrize("det_range", ["1:3000000", "1:1000000000000"])
 def test_classify_refuses_an_oversized_range_before_any_census(monkeypatch, capsys, det_range):
-    def no_scan(S):
-        raise AssertionError(f"class scan of {S}")
-
-    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
-    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    refuse_class_scans(monkeypatch)
     euler.genus_partition.cache_clear()
     code, out, err = run_cli(capsys, "classify", "--det-range", det_range)
     assert code == 2 and out == "" and err.startswith("error: L-value needs")
@@ -71,11 +73,7 @@ def test_classify_range_without_realizable_det_needs_no_l_value(capsys):
 
 def test_classify_unrealizable_det_scans_no_class(monkeypatch, capsys):
     # 4ac - b^2 is never 1 or 2 mod 4, so the census is empty without a scan
-    def no_scan(S):
-        raise AssertionError(f"class scan of {S}")
-
-    monkeypatch.setattr(forms, "enumerate_classes", no_scan)
-    monkeypatch.setattr(euler, "enumerate_classes", no_scan)
+    refuse_class_scans(monkeypatch)
     euler.genus_partition.cache_clear()
     code, out, _ = run_cli(capsys, "classify", "--det", "999999999997")
     objs = json.loads(out)

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qfmass import forms as forms_module
 from qfmass.arith import OO, factor, hilbert_symbol, legendre
 from qfmass.forms import (
     QuadForm,
@@ -18,6 +20,7 @@ from qfmass.forms import (
     is_primitive,
     proper_automorphism_count,
     reduce_binary,
+    reduced_classes,
     scale_hasse,
 )
 from qfmass.localgenus import local_symbol
@@ -211,6 +214,32 @@ def test_enumerate_empty_iff_1_or_2_mod_4():
 def test_enumerate_matches_rescan_oracle():
     for S in range(1, 101):
         assert [f.abc for f in enumerate_classes(S)] == classes_by_rescan(S)
+
+
+@pytest.mark.parametrize("S", [999996, 999999])
+def test_class_source_equals_the_oracle_beyond_the_golden_range(S):
+    assert reduced_classes(S) == enumerate_classes(S)
+
+
+def test_class_source_blocks_join_in_abc_order(monkeypatch):
+    # blocks of at most 7 pairs, or of one a: from a = 4 on, each a is a block of its own
+    monkeypatch.setattr(forms_module, "SCAN_BLOCK_PAIRS", 7)
+    for S in list(range(1, 400)) + [99999, 100000]:
+        assert reduced_classes(S) == enumerate_classes(S), S
+
+
+def test_class_source_memory_stays_bounded():
+    # S/6 ~ 1.7 * 10^7 candidate pairs: one unblocked int64 array of them is 133 MB
+    S = 10**8 + 3
+    tracemalloc.start()
+    try:
+        classes = reduced_classes(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert classes[0] == QuadForm(1, 1, (S + 1) // 4)
+    assert all(4 * f.a * f.c - f.b * f.b == S and is_primitive(f) for f in classes)
 
 
 def test_enumerate_pairwise_inequivalent_and_reduced():
