@@ -16,7 +16,12 @@ from qfmass import (
 )
 
 f = QuadForm(1, 1, 1)
-print("x^2 + xy + y^2 at p = 3:", jordan_split_odd(f, 3))
+sym3 = jordan_split_odd(f, 3)
+print("x^2 + xy + y^2 at p = 3:", sym3)
+print(
+    f"  <t> + <3^nu u t> with nu = {sym3.nu}, unit u = {sym3.unit:+d}, tag t = {sym3.tag:+d};"
+    f" Hasse label {sym3.label:+d}"
+)
 sym2 = genus_symbol_2(f)
 print("x^2 + xy + y^2 at p = 2:", sym2)
 print(f"  shape {sym2.shape} (a function of nu = {sym2.nu}), Hasse label {sym2.label:+d}")

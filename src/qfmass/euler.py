@@ -10,7 +10,7 @@ target with a documented discrepancy report.
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -208,7 +208,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
       (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with
       u1 = a or c the p-unit; so its Jordan symbol is
-      ((0, 1, t_p), (v, 1, d t_p)) with v = ord_p(S) and d the unit class of
+      OddGenusSymbol(p, v, d, t_p) with v = ord_p(S) and d the unit class of
       S, both fixed by S.  Equal t_p thus means an equal odd symbol.
     - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
       eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
@@ -311,32 +311,18 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
 
 def sign_tuple_identity(t_size: int, c: int) -> bool:
     """Check sum over sign tuples with product c of prod(X_i + e_i Y_i)
-    = 2^(|T|-1) (prod X_i + c prod Y_i) at 100 seeded random rational points."""
+    = 2^(|T|-1) (prod X_i + c prod Y_i) exactly, monomial by monomial: the
+    coefficient of prod_{i in I} Y_i prod_{i not in I} X_i on the left is the
+    sum of prod_{i in I} e_i over the tuples, and on the right 2^(|T|-1) times
+    1 at I = {}, c at I = T and 0 otherwise."""
     if not 1 <= t_size <= 4:
         raise ValueError("t_size must be between 1 and 4")
     if c not in (1, -1):
         raise ValueError("c must be +-1")
-    rng = random.Random(0)
-    for _ in range(100):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(t_size)]
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(t_size)]
-        lhs = Fraction(0)
-        for signs in itertools.product((1, -1), repeat=t_size):
-            prod_signs = 1
-            for s in signs:
-                prod_signs *= s
-            if prod_signs != c:
-                continue
-            term = Fraction(1)
-            for x, y, s in zip(xs, ys, signs):
-                term *= x + s * y
-            lhs += term
-        px = Fraction(1)
-        py = Fraction(1)
-        for x in xs:
-            px *= x
-        for y in ys:
-            py *= y
-        if lhs != 2 ** (t_size - 1) * (px + c * py):
+    tuples = [e for e in itertools.product((1, -1), repeat=t_size) if math.prod(e) == c]
+    for subset in itertools.product((False, True), repeat=t_size):
+        lhs = sum(math.prod(s for s, inside in zip(e, subset) if inside) for e in tuples)
+        rhs = 1 if not any(subset) else c if all(subset) else 0
+        if lhs != 2 ** (t_size - 1) * rhs:
             return False
     return True

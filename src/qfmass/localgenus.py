@@ -1,6 +1,13 @@
 """p-adic integral invariants of binary forms: Jordan symbols at odd p, the
 five 2-adic block shapes, same-genus tests, and enumeration of all local
-genera with a given determinant squareclass.
+genera with a given determinant squareclass.  Every symbol is read off a
+primitive form: `jordan_split_odd` and `genus_symbol_2` refuse a form whose
+content is divisible by p, at every prime.
+
+At an odd p a primitive binary form splits over Z_p as <t> + <p^nu u t>,
+with nu = ord_p(det_H), u the unit class of det_H / p^nu and t the class of
+the p-unit coefficient a, or c when p | a (at nu = 0 only u is an invariant,
+and t is fixed to QR).  `OddGenusSymbol` holds exactly (p, nu, u, t).
 
 The rank-2 shape at 2 is a function of nu = ord_2(det_H) alone:
 nu = 0 -> (2bar), nu = 2 -> (2), nu = 3 -> (1,1), nu = 4 -> (1;1),
@@ -21,7 +28,6 @@ from .arith import (
     NQR,
     QR,
     LocalSquareClass,
-    _valuation,
     factor,
     hilbert_symbol,
     is_prime,
@@ -49,32 +55,23 @@ def shape_for_nu(nu: int) -> str:
 
 @dataclass(frozen=True)
 class OddGenusSymbol:
-    """Jordan symbol at an odd prime: ordered (scale, dim, unit tag) blocks."""
+    """Jordan symbol at an odd prime of the primitive form <t> + <p^nu u t>:
+    `unit` u is the class of det_H / p^nu and `tag` t the class of the p-unit
+    coefficient a, or c when p | a.  At nu = 0 the tag is QR."""
 
     p: int
-    blocks: tuple[tuple[int, int, int], ...]
-
-    @property
-    def nu(self) -> int:
-        return sum(scale * dim for scale, dim, _ in self.blocks)
-
-    def det_tag(self) -> int:
-        t = 1
-        for _, _, tag in self.blocks:
-            t *= tag
-        return t
+    nu: int
+    unit: int
+    tag: int
 
     def unit_rep(self) -> int:
         """Integer representing the determinant unit class (for chi/gamma)."""
-        return _tag_rep(self.p, self.det_tag())
+        return _tag_rep(self.p, self.unit)
 
     @property
     def label(self) -> int:
-        """Hasse invariant of any form in the genus (leading tag^nu)."""
-        if len(self.blocks) == 1:
-            return 1
-        (_, _, tag1), (scale2, _, _) = self.blocks
-        return tag1 if scale2 % 2 else 1
+        """Hasse invariant of any form in the genus (tag^nu)."""
+        return self.tag if self.nu % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -116,19 +113,20 @@ def _canonical_lead(nu: int, u1: int) -> int | None:
 
 
 def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
-    """Jordan splitting of a nondegenerate binary form over Z_p, p odd."""
+    """Jordan symbol of a p-adically primitive binary form, p odd."""
     if p == 2 or not is_prime(p):
         raise ValueError("jordan_split_odd needs an odd prime")
-    if det_hessian(f) == 0:
+    if content(f) % p == 0:
+        raise ValueError("jordan_split_odd needs a p-adically primitive form")
+    det = det_hessian(f)
+    if det == 0:
         raise ValueError("degenerate form")
-    k = _valuation(content(f), p)
-    a, b, c = (x // p**k for x in f.abc)
-    d = LocalSquareClass.of(4 * a * c - b * b, p)
+    d = LocalSquareClass.of(det, p)
     if d.val == 0:
-        return OddGenusSymbol(p, ((k, 2, d.unit),))
-    # primitive at p with positive valuation: a or c is a p-unit
-    tag1 = kronecker(a if a % p else c, p)
-    return OddGenusSymbol(p, ((k, 1, tag1), (k + d.val, 1, d.unit * tag1)))
+        return OddGenusSymbol(p, 0, d.unit, QR)
+    # a or c is a p-unit u1, and f splits over Z_p as <u1> + <det_H / u1>
+    a, _, c = f.abc
+    return OddGenusSymbol(p, d.val, d.unit, kronecker(a if a % p else c, p))
 
 
 def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
@@ -153,8 +151,8 @@ def local_symbol(f: QuadForm, p: int) -> LocalGenusSymbol:
 
 
 def same_genus(f: QuadForm, g: QuadForm) -> bool:
-    """True iff f and g have equal local invariants at 2 and at every odd
-    prime dividing the (shared) determinant."""
+    """True iff the primitive forms f and g have equal local invariants at 2
+    and at every odd prime dividing the (shared) determinant."""
     df, dg = det_hessian(f), det_hessian(g)
     if df != dg:
         raise ValueError("same_genus needs equal determinants")
@@ -180,9 +178,7 @@ def enumerate_local_genera(
         return []
     nu, u = S_p.val, S_p.unit
     if p != 2:
-        if nu == 0:
-            return [OddGenusSymbol(p, ((0, 2, u),))]
-        return [OddGenusSymbol(p, ((0, 1, eps1), (nu, 1, u * eps1))) for eps1 in (QR, NQR)]
+        return [OddGenusSymbol(p, nu, u, t) for t in ((QR,) if nu == 0 else (QR, NQR))]
     if nu == 0:
         if u % 4 != 3:
             return []
@@ -208,12 +204,8 @@ def representative_form(sym: LocalGenusSymbol) -> QuadForm:
     """An explicit p-integral binary form lying in the given local genus;
     used to cross-validate the enumeration tables."""
     if isinstance(sym, OddGenusSymbol):
-        p = sym.p
-        if len(sym.blocks) == 1:
-            scale, _, tag = sym.blocks[0]
-            return QuadForm(p**scale, 0, p**scale * _tag_rep(p, tag))
-        (s1, _, t1), (s2, _, t2) = sym.blocks
-        return QuadForm(p**s1 * _tag_rep(p, t1), 0, p**s2 * _tag_rep(p, t2))
+        p, t = sym.p, sym.tag
+        return QuadForm(_tag_rep(p, t), 0, p**sym.nu * _tag_rep(p, sym.unit * t))
     nu, u = sym.nu, sym.unit
     if nu == 0:
         return QuadForm(1, 1, 1) if u % 8 == 3 else QuadForm(1, 1, 2)

@@ -4,9 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfmass.arith import NQR, QR, LocalSquareClass, factor, legendre
-from qfmass.forms import QuadForm, det_hessian, enumerate_classes, hasse_invariant
+from qfmass.forms import QuadForm, content, det_hessian, enumerate_classes, hasse_invariant
 from qfmass.localgenus import (
     SHAPE_11,
     SHAPE_1_1,
@@ -33,18 +35,17 @@ from .test_forms import random_posdef, random_sl2
 
 def test_jordan_unimodular():
     sym = jordan_split_odd(QuadForm(1, 0, 1), 5)
-    assert sym.blocks == ((0, 2, legendre(4, 5)),)
-    assert sym.nu == 0
+    assert (sym.nu, sym.unit, sym.tag) == (0, legendre(4, 5), QR)
 
 
 def test_jordan_split_examples():
     sym = jordan_split_odd(QuadForm(1, 1, 1), 3)
-    assert sym.blocks == ((0, 1, QR), (1, 1, QR))
+    assert (sym.nu, sym.unit, sym.tag) == (1, QR, QR)
     sym = jordan_split_odd(QuadForm(1, 0, 5), 5)
-    assert sym.blocks == ((0, 1, QR), (1, 1, QR))
-    # det_H = 40 with unit part 8 ~ NQR mod 5, so the tags multiply to NQR
+    assert (sym.nu, sym.unit, sym.tag) == (1, QR, QR)
+    # det_H = 40 with unit part 8 ~ NQR mod 5, and a = 2 ~ NQR mod 5
     sym = jordan_split_odd(QuadForm(2, 0, 5), 5)
-    assert sym.blocks == ((0, 1, NQR), (1, 1, QR))
+    assert (sym.nu, sym.unit, sym.tag) == (1, NQR, NQR)
 
 
 def test_jordan_hasse_consistent_with_direct_invariant():
@@ -55,6 +56,10 @@ def test_jordan_hasse_consistent_with_direct_invariant():
         for p in (3, 5, 7):
             if d % p:
                 continue
+            if content(f) % p == 0:
+                with pytest.raises(ValueError):
+                    jordan_split_odd(f, p)
+                continue
             assert jordan_split_odd(f, p).label == hasse_invariant(f, p)
 
 
@@ -63,6 +68,16 @@ def test_jordan_rejects_bad_input():
         jordan_split_odd(QuadForm(1, 0, 1), 2)
     with pytest.raises(ValueError):
         jordan_split_odd(QuadForm(1, 2, 1), 3)
+
+
+def test_local_symbols_refuse_imprimitive_forms_at_every_prime():
+    # p | content(f): the label read off the scaled form would disagree with
+    # the Hasse invariant, e.g. (3, 0, 3) at 3 has Hasse invariant -1
+    for abc, p in (((3, 0, 3), 3), ((5, 0, 10), 5), ((9, -9, 6), 3)):
+        with pytest.raises(ValueError, match="primitive"):
+            jordan_split_odd(QuadForm(*abc), p)
+    with pytest.raises(ValueError, match="primitive"):
+        genus_symbol_2(QuadForm(2, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +227,32 @@ def test_representatives_realize_their_symbols():
                     else:
                         # unimodular-row convention: label -1, pairwise symbol +1
                         assert hasse_invariant(f, 2) == 1 and label == -1
+
+
+@st.composite
+def primitive_posdef_forms(draw):
+    """Primitive positive-definite forms with coefficients up to 10^3, not
+    reduced."""
+    a = draw(st.integers(1, 1000))
+    c = draw(st.integers(1, 1000))
+    b = draw(st.integers(-1000, 1000))
+    f = QuadForm(a, b, c)
+    assume(4 * a * c - b * b > 0 and content(f) == 1)
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(primitive_posdef_forms())
+def test_local_symbol_lies_in_its_table_and_carries_the_hasse_invariant(f):
+    d = det_hessian(f)
+    for p in sorted({2} | {p for p, _ in factor(d)}):
+        sym = local_symbol(f, p)
+        assert sym in enumerate_local_genera(p, LocalSquareClass.of(d, p)), (f.abc, p)
+        if p == 2 and sym.nu == 0:
+            # unimodular-row convention: label -1, pairwise symbol +1
+            assert (sym.label, hasse_invariant(f, 2)) == (-1, 1)
+        else:
+            assert sym.label == hasse_invariant(f, p), (f.abc, p)
 
 
 def test_completeness_census():
