@@ -60,8 +60,10 @@ def kappa(S: int) -> int:
 # ---------------------------------------------------------------------------
 # Dirichlet L-values by truncated character sums
 
-# Most terms an L-value may use.  M terms cost 16 M bytes of arrays at peak:
-# two float64 arrays, chi(m) and 1/m.
+# Most terms an L-value may use.  M terms cost 16 M bytes: two float64
+# arrays, chi(m) and 1/m, which `_M_TERMS` keeps at the largest M so far
+# (rounded up, see `_M_TERMS_STEP`), so at most 160 MB stay held between
+# L-values.
 L_TERMS_MAX = 10**7
 
 
@@ -166,7 +168,10 @@ class LTruncation:
     with 1/m runs over M terms.  The float value equals that of the M-term
     formulation bit for bit: each partial sum and sum T is an integer below
     2^53, so exact in float64 as well; T_bar is one correctly rounded
-    division; and the dot product sees the same two arrays.
+    division; and the dot product sees the same values at the same length,
+    whether its two arrays are fresh or the kept ones of a longer earlier
+    call.  Bit-identity holds for a given BLAS build and thread count: how
+    `np.dot` splits the sum among BLAS threads sets its summation order.
     """
 
     D: int
@@ -179,9 +184,13 @@ def _error_bound(T: np.ndarray, M: int) -> float:
     """e1 + e2 of `LTruncation` for M terms, with B exact from the partial
     sums T = T(1), ..., T(P) of one period."""
     P = len(T)
-    # P U(n) = sum_{m<=n} (P T(m) - sum T), at most P^3 in size: P <= 10^6 fits int64
-    PU = np.cumsum(P * T - int(T.sum()))
-    e1 = 2 * (int(np.abs(PU).max()) / P) / ((M + 1) * (M + 2))
+    # P U(n) = sum_{m<=n} (P T(m) - sum T), at most P^3 in size: P <= 10^6 fits
+    # int64; built in place, one P-long temporary
+    PU = T * P
+    PU -= int(T.sum())
+    np.cumsum(PU, out=PU)
+    B_times_P = max(int(PU.max()), -int(PU.min()))
+    e1 = 2 * (B_times_P / P) / ((M + 1) * (M + 2))
     nu = (M + 2) * 2.0**-53
     return e1 + nu / (1 - nu) * (math.log(M) + 2)
 
@@ -204,6 +213,42 @@ def _l_terms(D: int, prime_bound: int) -> int:
     return M
 
 
+# The kept M-term arrays grow to a multiple of this many terms (512 KiB per
+# array): a rising --det-range asks for M = 10 S, a little more on every
+# determinant, and one growth then serves some 6500 determinants.
+_M_TERMS_STEP = 2**16
+
+
+class _MTermArrays:
+    """chi(1..N) and 1/1, ..., 1/N for N at least the largest M asked for.
+
+    Both arrays are kept across L-values, so a call that needs no more terms
+    than an earlier one allocates no M-term array and touches no fresh page:
+    1/m is computed once, and the chi buffer is refilled in place.  On growth
+    the old pair is dropped before the new one is allocated, so the two
+    pairs are never held at once.  Calls from several threads at once would
+    share the chi buffer; the package makes none.
+    """
+
+    def __init__(self) -> None:
+        self.chi = np.empty(0)
+        self.inv = np.empty(0)
+
+    def views(self, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first M entries of both arrays, grown first if shorter than M
+        (M <= L_TERMS_MAX, as `_l_terms` checks)."""
+        if M > len(self.inv):
+            N = min(-(-M // _M_TERMS_STEP) * _M_TERMS_STEP, L_TERMS_MAX)
+            self.chi = self.inv = np.empty(0)
+            self.inv = np.arange(1, N + 1, dtype=np.float64)
+            np.divide(1.0, self.inv, out=self.inv)
+            self.chi = np.empty(N)
+        return self.chi[:M], self.inv[:M]
+
+
+_M_TERMS = _MTermArrays()
+
+
 def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     """Evaluate L(1, chi_D) for the Kronecker symbol chi_D = (D|.), D < 0.
 
@@ -214,9 +259,13 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     refused before any table or array is built.
 
     The character table, the partial sums T and the Abel correction cover
-    one period; chi(1..M) is that period tiled, and `np.dot` of it with
-    1/m is the one M-term operation.  The result is bit-identical to
-    gathering chi(m) = table[m % P] and summing T over all M terms.
+    one period; chi(1..M) is that period repeated, and `np.dot` of it with
+    1/m is the one M-term operation.  Both M-term arrays are kept across
+    calls (`_MTermArrays`, 16 bytes per term of the largest M so far,
+    rounded up to a multiple of `_M_TERMS_STEP`, at most 160 MB): 1/m is
+    computed once and chi is written over the kept buffer.  The result is
+    bit-identical, for a given BLAS build and thread count, to gathering
+    chi(m) = table[m % P] and summing T over all M terms.
     """
     M = _l_terms(D, prime_bound)
     period = np.roll(_char_table(D), -1)  # chi(1), ..., chi(P)
@@ -228,11 +277,11 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     T_mean = int(T.sum()) / P
     T_M = int(T[(M - 1) % P])
     del T
-    # chi(1), ..., chi(M) and 1/1, ..., 1/M: the only M-term arrays, two
-    # 8-byte arrays that set the peak RSS
-    chi_vals = np.tile(period.astype(np.float64), -(-M // P))[:M]
-    inv = np.arange(1, M + 1, dtype=np.float64)
-    np.divide(1.0, inv, out=inv)
+    # chi(1), ..., chi(M): K whole periods, then the tail
+    chi_vals, inv = _M_TERMS.views(M)
+    K = M // P
+    chi_vals[: K * P].reshape(K, P)[:] = period
+    chi_vals[K * P :] = period[: M - K * P]
     partial = float(np.dot(chi_vals, inv))
     abel = partial + (T_mean - T_M) / (M + 1)
     return LTruncation(D=D, prime_bound=M, value=abel, error_estimate=err)

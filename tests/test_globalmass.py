@@ -176,6 +176,21 @@ def test_l_value_equals_the_m_term_reference(Ds, bounds):
             assert got == _l_value_reference(D, bound), (D, bound)
 
 
+def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
+    # M = 999960, 10^4, 1049990, 10^5, 999960, 10^5, the third past the
+    # first's 16 * 2^16 kept terms: a shorter call after a longer one must not
+    # read a stale chi tail (15 of the last call's 19 tail terms differ from
+    # what the call before left there) or a wrong slice length
+    monkeypatch.setattr(globalmass, "_M_TERMS", globalmass._MTermArrays())
+    calls = [(-99996, 10**5), (-1000, 100), (-104999, 10**5), (-3, 10**5), (-99996, 10**5), (-23, 10**5)]
+    for D, bound in calls:
+        trunc = l_value_truncated(D, bound)
+        got = (trunc.value, trunc.error_estimate, trunc.prime_bound)
+        assert got == _l_value_reference(D, bound), (D, bound)
+    kept = globalmass._M_TERMS
+    assert len(kept.chi) == len(kept.inv) == 17 * globalmass._M_TERMS_STEP
+
+
 @pytest.mark.parametrize("D", [-3, -4, -23, -84, -163, -499])
 def test_l_truncation_against_digamma_oracle(D):
     trunc = l_value_truncated(D, 10**5)
@@ -212,11 +227,13 @@ def test_l_truncation_refuses_oversized_term_counts(monkeypatch):
 
     monkeypatch.setattr(globalmass, "_char_table", no_table)
     builds = primes_below.cache_info().misses
+    kept = len(globalmass._M_TERMS.chi), len(globalmass._M_TERMS.inv)
     with pytest.raises(ValueError, match="terms"):
         l_value_truncated(-3, L_TERMS_MAX + 1)
     with pytest.raises(ValueError, match="terms"):
         l_value_truncated(-1_000_003)  # 10 |D| > L_TERMS_MAX
     assert primes_below.cache_info().misses == builds
+    assert (len(globalmass._M_TERMS.chi), len(globalmass._M_TERMS.inv)) == kept
 
 
 def test_l_values_build_no_sieve():
