@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LocalSquareClass, chi, factor, gamma_factor, kronecker
+from .arith import LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
 from .localgenus import LocalGenusSymbol, enumerate_local_genera, genus_symbol_2, local_symbol
 from .mass import density_ratio
@@ -209,7 +209,9 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with
       u1 = a or c the p-unit; so its Jordan symbol is
       OddGenusSymbol(p, v, d, t_p) with v = ord_p(S) and d the unit class of
-      S, both fixed by S.  Equal t_p thus means an equal odd symbol.
+      S, both fixed by S.  Equal t_p thus means an equal odd symbol.  The
+      key holds t_p by Euler's criterion, u1^((p-1)/2) mod p, which is 1 or
+      p - 1 for the p-unit u1: one `pow` in place of a `kronecker` call.
     - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
       eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
       (b = S (mod 2), so a and c are not both even).  With n = S/4, the
@@ -238,7 +240,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     for f in reduced_classes(S):
         a, _, c = f.abc
         u = a if a & 1 else c
-        key = (key_2[(u >> 1) & 3], *(kronecker(a if a % p else c, p) for p in odd))
+        key = (key_2[(u >> 1) & 3], *(pow(a if a % p else c, p >> 1, p) for p in odd))
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
     records = []

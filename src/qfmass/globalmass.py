@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -163,21 +164,33 @@ class LTruncation:
     e2 = gamma_{M+2} (ln M + 2).
 
     One period.  Since T has period P, T(M) = T((M - 1) mod P + 1), and
-    T_bar, B and T(M) are all read from the P integer partial sums
-    T(1), ..., T(P); only the dot product of chi(1..M), the period repeated,
-    with 1/m runs over M terms.  The float value equals that of the M-term
+    T_bar, B and T(M) are all read from one period of chi; only the dot
+    product of chi(1..M), the period repeated, with 1/m runs over M terms.
+    The value needs two integers of the period: T(M), a partial sum of
+    chi, and sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), an
+    exact int64 dot product.  The float value equals that of the M-term
     formulation bit for bit: each partial sum and sum T is an integer below
     2^53, so exact in float64 as well; T_bar is one correctly rounded
     division; and the dot product sees the same values at the same length,
     whether its two arrays are fresh or the kept ones of a longer earlier
     call.  Bit-identity holds for a given BLAS build and thread count: how
     `np.dot` splits the sum among BLAS threads sets its summation order.
+
+    The bound needs B, and so all P partial sums T(1), ..., T(P), which the
+    value does not.  `error_estimate` is therefore computed on first read
+    and cached on the instance: that read rebuilds the character table once
+    and takes its partial sums.  The reports (`classify`, the total-mass and
+    class-number checks) print the value alone and never pay for it.
     """
 
     D: int
     prime_bound: int
     value: float
-    error_estimate: float
+
+    @cached_property
+    def error_estimate(self) -> float:
+        T = np.cumsum(np.roll(_char_table(self.D), -1), dtype=np.int64)  # T(1), ..., T(P)
+        return _error_bound(T, self.prime_bound)
 
 
 def _error_bound(T: np.ndarray, M: int) -> float:
@@ -258,25 +271,27 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
     refused before any table or array is built.
 
-    The character table, the partial sums T and the Abel correction cover
-    one period; chi(1..M) is that period repeated, and `np.dot` of it with
-    1/m is the one M-term operation.  Both M-term arrays are kept across
-    calls (`_MTermArrays`, 16 bytes per term of the largest M so far,
-    rounded up to a multiple of `_M_TERMS_STEP`, at most 160 MB): 1/m is
-    computed once and chi is written over the kept buffer.  The result is
-    bit-identical, for a given BLAS build and thread count, to gathering
-    chi(m) = table[m % P] and summing T over all M terms.
+    The character table and the Abel correction cover one period;
+    chi(1..M) is that period repeated, and `np.dot` of it with 1/m is the
+    one M-term operation.  Both M-term arrays are kept across calls
+    (`_MTermArrays`, 16 bytes per term of the largest M so far, rounded up
+    to a multiple of `_M_TERMS_STEP`, at most 160 MB): 1/m is computed once
+    and chi is written over the kept buffer.  The proven bound
+    `error_estimate` is computed on first read and cached on the returned
+    instance; that read rebuilds the character table once and takes its P
+    partial sums.  The result is bit-identical, for a given BLAS build and
+    thread count, to gathering chi(m) = table[m % P] and summing T over all
+    M terms.
     """
     M = _l_terms(D, prime_bound)
     period = np.roll(_char_table(D), -1)  # chi(1), ..., chi(P)
     P = len(period)
-    T = np.cumsum(period, dtype=np.int64)  # T(1), ..., T(P)
     # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P
-    assert int(T[-1]) == 0, D
-    err = _error_bound(T, M)
-    T_mean = int(T.sum()) / P
-    T_M = int(T[(M - 1) % P])
-    del T
+    assert int(period.sum(dtype=np.int64)) == 0, D
+    # sum T = -sum r chi(r) (see `LTruncation`): numpy's integer dot, exact
+    # and not BLAS, so the same at any thread count
+    T_mean = -int(np.dot(period.astype(np.int64), np.arange(1, P + 1, dtype=np.int64))) / P
+    T_M = int(period[: (M - 1) % P + 1].sum(dtype=np.int64))
     # chi(1), ..., chi(M): K whole periods, then the tail
     chi_vals, inv = _M_TERMS.views(M)
     K = M // P
@@ -284,7 +299,7 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     chi_vals[K * P :] = period[: M - K * P]
     partial = float(np.dot(chi_vals, inv))
     abel = partial + (T_mean - T_M) / (M + 1)
-    return LTruncation(D=D, prime_bound=M, value=abel, error_estimate=err)
+    return LTruncation(D=D, prime_bound=M, value=abel)
 
 
 def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
@@ -367,15 +382,18 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
         _l_terms(-S, prime_bound)
     rep = genus_census(S)
     numeric = total_mass_numeric(S, prime_bound)
-    classes = sorted(rep.classes, key=lambda f: f.abc)
-    aut = {f: n for g in rep.genera for f, n in zip(g.classes, g.aut_orders)}
-    index = {f: i for i, f in enumerate(classes)}
+    # one row per class, sorted by its distinct (a, b, c); each genus's
+    # classes are in abc order, so its index list comes out ascending
+    rows = sorted((f.abc, n, i) for i, g in enumerate(rep.genera) for f, n in zip(g.classes, g.aut_orders))
+    genera: list[list[int]] = [[] for _ in rep.genera]
+    for k, (_, _, i) in enumerate(rows):
+        genera[i].append(k)
     return {
         "schema": SCHEMA_VERSION,
         "det": S,
-        "classes": [list(f.abc) for f in classes],
-        "aut": [aut[f] for f in classes],
-        "genera": [[index[f] for f in g.classes] for g in rep.genera],
+        "classes": [list(abc) for abc, _, _ in rows],
+        "aut": [n for _, n, _ in rows],
+        "genera": genera,
         "mass_exact": str(rep.total_mass),
         "kappa": numeric["kappa"],
         "rhs_numeric": _format_float(numeric["rhs"]),

@@ -217,6 +217,18 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_interleaved_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(capsys, "classify", "--det", "23")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--det", "23", "--det-range", "1:5"])
+    capsys.readouterr()
+    siegel = run_cli(capsys, "verify", "siegel", "--max-det", "100")
+    again = run_cli(capsys, "classify", "--det", "23")
+    assert (first[0], exc.value.code, siegel[0], again[0]) == (0, 2, 0, 0)
+    assert again == first
+
+
 def test_classify_without_det_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])

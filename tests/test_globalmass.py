@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from qfmass import globalmass
+from qfmass import cli, globalmass
 from qfmass.arith import factor, is_prime, kronecker, primes_below
 from qfmass.forms import QuadForm, proper_automorphism_count
 from qfmass.globalmass import (
@@ -189,6 +189,32 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
         assert got == _l_value_reference(D, bound), (D, bound)
     kept = globalmass._M_TERMS
     assert len(kept.chi) == len(kept.inv) == 17 * globalmass._M_TERMS_STEP
+
+
+def test_l_error_bound_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(T, M):
+        calls.append(M)
+        return _error_bound(T, M)
+
+    monkeypatch.setattr(globalmass, "_error_bound", counted)
+    trunc = l_value_truncated(-99996)
+    assert calls == []
+    first = trunc.error_estimate
+    assert trunc.error_estimate == first == _l_value_reference(-99996, 10**5)[1]
+    assert calls == [trunc.prime_bound]
+
+
+def test_reports_never_read_the_l_error_bound(monkeypatch, capsys):
+    def no_bound(T, M):
+        raise AssertionError("error bound computed for a report")
+
+    monkeypatch.setattr(globalmass, "_error_bound", no_bound)
+    assert cli.main(["classify", "--det", "99996"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["det"] == 99996
+    assert total_mass_numeric(99996)["census"] > 0
+    assert dirichlet_check(-99995)["h"] >= 1
 
 
 @pytest.mark.parametrize("D", [-3, -4, -23, -84, -163, -499])
