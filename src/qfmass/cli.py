@@ -7,7 +7,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import random
@@ -262,13 +261,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# One parser per process, built on first use: in-process callers (tests,
-# golden checks, benchmarks) call `main` many times, and rebuilding its two
-# dozen actions on every call was a large share of a classify near
-# S = 10^5.  Sharing it is safe because `parse_args` reads the parser and
-# writes only the fresh namespace it returns; a usage error exits before
-# any state is kept.
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qfmass", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

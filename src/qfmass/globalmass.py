@@ -14,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +135,11 @@ def _char_table(D: int) -> np.ndarray:
     return table
 
 
+def _period(D: int) -> np.ndarray:
+    """chi_D(1), ..., chi_D(P): the character table rolled to start at 1."""
+    return np.roll(_char_table(D), -1)
+
+
 @dataclass
 class LTruncation:
     """Truncated evaluation of L(1, (D|.)) = prod (1 - (D|p)/p)^-1.
@@ -177,19 +181,19 @@ class LTruncation:
     `np.dot` splits the sum among BLAS threads sets its summation order.
 
     The bound needs B, and so all P partial sums T(1), ..., T(P), which the
-    value does not.  `error_estimate` is therefore computed on first read
-    and cached on the instance: that read rebuilds the character table once
-    and takes its partial sums.  The reports (`classify`, the total-mass and
-    class-number checks) print the value alone and never pay for it.
+    value does not.  `error_estimate` is therefore computed when read: each
+    read rebuilds the character table and takes its partial sums.  The
+    reports (`classify`, the total-mass and class-number checks) print the
+    value alone and never pay for it.
     """
 
     D: int
     prime_bound: int
     value: float
 
-    @cached_property
+    @property
     def error_estimate(self) -> float:
-        T = np.cumsum(np.roll(_char_table(self.D), -1), dtype=np.int64)  # T(1), ..., T(P)
+        T = np.cumsum(_period(self.D), dtype=np.int64)  # T(1), ..., T(P)
         return _error_bound(T, self.prime_bound)
 
 
@@ -277,14 +281,13 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     (`_MTermArrays`, 16 bytes per term of the largest M so far, rounded up
     to a multiple of `_M_TERMS_STEP`, at most 160 MB): 1/m is computed once
     and chi is written over the kept buffer.  The proven bound
-    `error_estimate` is computed on first read and cached on the returned
-    instance; that read rebuilds the character table once and takes its P
-    partial sums.  The result is bit-identical, for a given BLAS build and
+    `error_estimate` is computed when read, not here; each read rebuilds
+    the character table and takes its P partial sums.  The result is bit-identical, for a given BLAS build and
     thread count, to gathering chi(m) = table[m % P] and summing T over all
     M terms.
     """
     M = _l_terms(D, prime_bound)
-    period = np.roll(_char_table(D), -1)  # chi(1), ..., chi(P)
+    period = _period(D)
     P = len(period)
     # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P
     assert int(period.sum(dtype=np.int64)) == 0, D

@@ -217,8 +217,7 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_one_parser_serves_interleaved_calls(capsys):
-    assert cli.build_parser() is cli.build_parser()
+def test_interleaved_calls_in_one_process(capsys):
     first = run_cli(capsys, "classify", "--det", "23")
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--det", "23", "--det-range", "1:5"])
