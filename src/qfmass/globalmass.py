@@ -60,10 +60,9 @@ def kappa(S: int) -> int:
 # ---------------------------------------------------------------------------
 # Dirichlet L-values by truncated character sums
 
-# Most terms an L-value may use.  M terms cost 16 M bytes: two float64
-# arrays, chi(m) and 1/m, which `_M_TERMS` keeps at the largest M so far
-# (rounded up, see `_M_TERMS_STEP`), so at most 160 MB stay held between
-# L-values.
+# Most terms an L-value may use.  M terms cost 8 M bytes: the float64 array
+# 1/m, which `_M_TERMS` keeps at the largest M so far (rounded up, see
+# `_M_TERMS_STEP`), so at most 80 MB stay held between L-values.
 L_TERMS_MAX = 10**7
 
 
@@ -168,17 +167,22 @@ class LTruncation:
     e2 = gamma_{M+2} (ln M + 2).
 
     One period.  Since T has period P, T(M) = T((M - 1) mod P + 1), and
-    T_bar, B and T(M) are all read from one period of chi; only the dot
-    product of chi(1..M), the period repeated, with 1/m runs over M terms.
-    The value needs two integers of the period: T(M), a partial sum of
-    chi, and sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), an
-    exact int64 dot product.  The float value equals that of the M-term
-    formulation bit for bit: each partial sum and sum T is an integer below
-    2^53, so exact in float64 as well; T_bar is one correctly rounded
-    division; and the dot product sees the same values at the same length,
-    whether its two arrays are fresh or the kept ones of a longer earlier
-    call.  Bit-identity holds for a given BLAS build and thread count: how
-    `np.dot` splits the sum among BLAS threads sets its summation order.
+    T_bar, B and T(M) are all read from one period of chi.  The value needs
+    two integers of the period: T(M), a partial sum of chi, and
+    sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), an exact
+    int64 dot product.  The character sum is a one-period sum as well:
+    chi(m) depends only on m mod P, so
+        sum_{m<=M} chi(m)/m = sum_{r<=P} chi(r) w_r,
+        w_r = sum_{m<=M, m = r (mod P)} 1/m,
+    and only the period weights w_r run over all M terms.  Multiplying by
+    chi(r) in {-1, 0, 1} is exact and each 1/m passes through fewer than M
+    additions, so e2 bounds this order as it bounds any other.
+
+    Every sum has an order fixed by M and P alone: numpy's row-by-row and
+    pairwise sums, no BLAS, so the value is the same at any thread count and
+    whether 1/m comes fresh or from the kept array of a longer earlier call.
+    It is not bit-identical to the M-term dot product chi(1..M) . 1/m, which
+    sums in another order; both lie within e2 of the exact sum.
 
     The bound needs B, and so all P partial sums T(1), ..., T(P), which the
     value does not.  `error_estimate` is therefore computed when read: each
@@ -230,40 +234,42 @@ def _l_terms(D: int, prime_bound: int) -> int:
     return M
 
 
-# The kept M-term arrays grow to a multiple of this many terms (512 KiB per
-# array): a rising --det-range asks for M = 10 S, a little more on every
-# determinant, and one growth then serves some 6500 determinants.
+# The kept 1/m array grows to a multiple of this many terms (512 KiB): a
+# rising --det-range asks for M = 10 S, a little more on every determinant,
+# and one growth then serves some 6500 determinants.
 _M_TERMS_STEP = 2**16
 
+# The period weights are summed over rows of at least this many terms, a
+# whole number of periods each: rows of one period would cost one numpy
+# inner loop per P terms, which dominates at small P.
+_ROW_TERMS_MIN = 2**12
 
-class _MTermArrays:
-    """chi(1..N) and 1/1, ..., 1/N for N at least the largest M asked for.
 
-    Both arrays are kept across L-values, so a call that needs no more terms
-    than an earlier one allocates no M-term array and touches no fresh page:
-    1/m is computed once, and the chi buffer is refilled in place.  On growth
-    the old pair is dropped before the new one is allocated, so the two
-    pairs are never held at once.  Calls from several threads at once would
-    share the chi buffer; the package makes none.
+class _Reciprocals:
+    """1/1, ..., 1/N for N at least the largest M asked for.
+
+    The array is kept across L-values, so a call that needs no more terms
+    than an earlier one computes no reciprocal and touches no fresh page.
+    On growth the old array is dropped before the new one is allocated, so
+    the two are never held at once.  Calls from several threads at once
+    could race on a growth; the package makes none.
     """
 
     def __init__(self) -> None:
-        self.chi = np.empty(0)
         self.inv = np.empty(0)
 
-    def views(self, M: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first M entries of both arrays, grown first if shorter than M
+    def view(self, M: int) -> np.ndarray:
+        """The first M entries, grown first if shorter than M
         (M <= L_TERMS_MAX, as `_l_terms` checks)."""
         if M > len(self.inv):
             N = min(-(-M // _M_TERMS_STEP) * _M_TERMS_STEP, L_TERMS_MAX)
-            self.chi = self.inv = np.empty(0)
+            self.inv = np.empty(0)
             self.inv = np.arange(1, N + 1, dtype=np.float64)
             np.divide(1.0, self.inv, out=self.inv)
-            self.chi = np.empty(N)
-        return self.chi[:M], self.inv[:M]
+        return self.inv[:M]
 
 
-_M_TERMS = _MTermArrays()
+_M_TERMS = _Reciprocals()
 
 
 def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
@@ -275,16 +281,17 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     M = max(prime_bound, 10 P) is capped at L_TERMS_MAX: a larger M is
     refused before any table or array is built.
 
-    The character table and the Abel correction cover one period;
-    chi(1..M) is that period repeated, and `np.dot` of it with 1/m is the
-    one M-term operation.  Both M-term arrays are kept across calls
-    (`_MTermArrays`, 16 bytes per term of the largest M so far, rounded up
-    to a multiple of `_M_TERMS_STEP`, at most 160 MB): 1/m is computed once
-    and chi is written over the kept buffer.  The proven bound
-    `error_estimate` is computed when read, not here; each read rebuilds
-    the character table and takes its P partial sums.  The result is bit-identical, for a given BLAS build and
-    thread count, to gathering chi(m) = table[m % P] and summing T over all
-    M terms.
+    The character table and the Abel correction cover one period, and so
+    does the character sum: sum chi(r) w_r over the period weights
+    w_r = sum of 1/m over m <= M, m = r (mod P).  Summing the weights is
+    the one M-term operation.  It reads 1/m from an array kept across calls
+    (`_Reciprocals`, 8 bytes per term of the largest M so far, rounded up
+    to a multiple of `_M_TERMS_STEP`, at most 80 MB), first adding rows of
+    L terms, L a whole number of periods, then folding the L sums into P.
+    No BLAS call is made, so the value does not depend on the BLAS thread
+    count.  The proven bound `error_estimate` is computed when read, not
+    here; each read rebuilds the character table and takes its P partial
+    sums.
     """
     M = _l_terms(D, prime_bound)
     period = _period(D)
@@ -295,12 +302,14 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     # and not BLAS, so the same at any thread count
     T_mean = -int(np.dot(period.astype(np.int64), np.arange(1, P + 1, dtype=np.int64))) / P
     T_M = int(period[: (M - 1) % P + 1].sum(dtype=np.int64))
-    # chi(1), ..., chi(M): K whole periods, then the tail
-    chi_vals, inv = _M_TERMS.views(M)
-    K = M // P
-    chi_vals[: K * P].reshape(K, P)[:] = period
-    chi_vals[K * P :] = period[: M - K * P]
-    partial = float(np.dot(chi_vals, inv))
+    # w_r: K rows of L terms, then the tail, then the L sums folded into P
+    inv = _M_TERMS.view(M)
+    L = P * -(-_ROW_TERMS_MIN // P)
+    K = M // L
+    wl = inv[: K * L].reshape(K, L).sum(0)
+    wl[: M - K * L] += inv[K * L :]
+    w = wl.reshape(-1, P).sum(0)
+    partial = float(np.multiply(w, period, out=w).sum())
     abel = partial + (T_mean - T_M) / (M + 1)
     return LTruncation(D=D, prime_bound=M, value=abel)
 

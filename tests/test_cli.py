@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfmass
 from qfmass import cli, euler, forms
 from qfmass.cli import main
 
@@ -275,8 +280,8 @@ def test_verify_rejects_empty_range(capsys, argv, flag):
 # sha256 of stdout for fixed invocations: identical invocations must keep
 # producing byte-identical output, so a changed digest is a changed output
 GOLDEN_SHA256 = {
-    "classify --det-range 1:40": "feff43d7dda802ea1bd89b838ed58271c15218fa3bcc8cef9055f1c0d8f0a1ea",
-    "classify --det-range 1:40 --format csv": "cc3ed066efdfcf5e9bcc08467701893070e9727dec64c2078dc3a96c94fe516a",
+    "classify --det-range 1:40": "36ffdf7bd4d433d0e5c3cfc8e1374764afbc43abc28cbcd162c307179253549b",
+    "classify --det-range 1:40 --format csv": "1a577cb969b32a30cba7466abb3f8a21a4f53403683d0e0817e60d69f070dcb4",
     "verify decomposition --max-det 300": "471e00b9afae76b9f2d83ffdc8825b2b89f264bbd47b2ae0034a691d8202bdf8",
     "verify siegel --max-det 300": "1fab961f5c67e0bb2696ee61c237171ea6f545ddad0edf461ccc028824309dd8",
     "verify decomposition --max-det 2000": "68d3ffaeac0bb28868b3694bd825d95577b90a0b17d7bf8f637c41f4f97e6756",
@@ -292,3 +297,17 @@ def test_output_is_byte_identical_to_golden(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command]
+
+
+def test_output_does_not_depend_on_the_blas_thread_count():
+    # the L-value behind rhs_numeric and rel_err makes no BLAS call, so one
+    # and two BLAS threads print the same bytes
+    command = "classify --det-range 1:40"
+    src = str(Path(qfmass.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "qfmass.cli", *command.split()],
+            env=env, capture_output=True, check=True, timeout=120,
+        ).stdout
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[command], threads

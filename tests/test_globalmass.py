@@ -42,7 +42,9 @@ def _l_value_reference(D: int, prime_bound: int) -> tuple[float, float, int]:
     """(value, error_estimate, prime_bound) of `l_value_truncated` by the
     M-term formulation: chi gathered as table[m % P] over all m <= M and the
     partial sums T(m) from a cumsum over all M terms.  The kernel reads
-    chi and T from one period; this is its bit-for-bit oracle."""
+    chi and T from one period and sums chi(m)/m in another order: its bound
+    and term count equal this oracle's, its value lies within the rounding
+    part of the bound (`_rounding_part`)."""
     M = _l_terms(D, prime_bound)
     P = _char_period(D)
     table = _char_table(D)
@@ -57,6 +59,19 @@ def _l_value_reference(D: int, prime_bound: int) -> tuple[float, float, int]:
     T = np.cumsum(chi_vals)
     T_mean = float(T[:P].mean())
     return partial + (T_mean - float(T[-1])) / (M + 1), err, M
+
+
+def _rounding_part(M: int) -> float:
+    """e2 = gamma_{M+2} (ln M + 2), the rounding part of `LTruncation`'s
+    bound, which holds for any summation order."""
+    nu = (M + 2) * 2.0**-53
+    return nu / (1 - nu) * (math.log(M) + 2)
+
+
+def assert_matches_reference(trunc, D: int, bound: int) -> None:
+    value, err, M = _l_value_reference(D, bound)
+    assert (trunc.error_estimate, trunc.prime_bound) == (err, M), (D, bound)
+    assert abs(trunc.value - value) <= _rounding_part(M), (D, bound)
 
 
 def l_value_by_digamma(D: int) -> float:
@@ -171,24 +186,42 @@ def test_char_table_equals_kronecker(Ds):
 def test_l_value_equals_the_m_term_reference(Ds, bounds):
     for D in Ds:
         for bound in bounds:
-            trunc = l_value_truncated(D, bound)
-            got = (trunc.value, trunc.error_estimate, trunc.prime_bound)
-            assert got == _l_value_reference(D, bound), (D, bound)
+            assert_matches_reference(l_value_truncated(D, bound), D, bound)
+
+
+@pytest.mark.parametrize("D", [-3, -4, -163, -99996])
+def test_l_value_is_within_rounding_of_the_correctly_rounded_sum(D):
+    # bound 100 at D = -3 and -163 leaves M below one row of period-weight
+    # sums, so no whole row is summed
+    for bound in (100, 10**5):
+        M = _l_terms(D, bound)
+        P = _char_period(D)
+        m = np.arange(1, M + 1)
+        chi = _char_table(D)[m % P]
+        T = np.cumsum(chi, dtype=np.int64)
+        abel = (int(T[:P].sum()) / P - int(T[-1])) / (M + 1)
+        exact = math.fsum((chi / m).tolist() + [abel])
+        trunc = l_value_truncated(D, bound)
+        assert trunc.prime_bound == M
+        assert abs(trunc.value - exact) <= _rounding_part(M), (D, bound)
 
 
 def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
     # M = 999960, 10^4, 1049990, 10^5, 999960, 10^5, the third past the
-    # first's 16 * 2^16 kept terms: a shorter call after a longer one must not
-    # read a stale chi tail (15 of the last call's 19 tail terms differ from
-    # what the call before left there) or a wrong slice length
-    monkeypatch.setattr(globalmass, "_M_TERMS", globalmass._MTermArrays())
+    # first's 16 * 2^16 kept terms: a shorter call after a longer one must
+    # take the right slice of the kept 1/m, and give the value it gives with
+    # a kept array of its own length
     calls = [(-99996, 10**5), (-1000, 100), (-104999, 10**5), (-3, 10**5), (-99996, 10**5), (-23, 10**5)]
+    alone = {}
+    for D, bound in calls:
+        monkeypatch.setattr(globalmass, "_M_TERMS", globalmass._Reciprocals())
+        alone[D, bound] = l_value_truncated(D, bound).value
+    monkeypatch.setattr(globalmass, "_M_TERMS", globalmass._Reciprocals())
     for D, bound in calls:
         trunc = l_value_truncated(D, bound)
-        got = (trunc.value, trunc.error_estimate, trunc.prime_bound)
-        assert got == _l_value_reference(D, bound), (D, bound)
-    kept = globalmass._M_TERMS
-    assert len(kept.chi) == len(kept.inv) == 17 * globalmass._M_TERMS_STEP
+        assert_matches_reference(trunc, D, bound)
+        assert trunc.value == alone[D, bound], (D, bound)
+    assert len(globalmass._M_TERMS.inv) == 17 * globalmass._M_TERMS_STEP
 
 
 def test_l_error_bound_is_computed_when_read(monkeypatch):
@@ -251,13 +284,13 @@ def test_l_truncation_refuses_oversized_term_counts(monkeypatch):
 
     monkeypatch.setattr(globalmass, "_char_table", no_table)
     builds = primes_below.cache_info().misses
-    kept = len(globalmass._M_TERMS.chi), len(globalmass._M_TERMS.inv)
+    kept = len(globalmass._M_TERMS.inv)
     with pytest.raises(ValueError, match="terms"):
         l_value_truncated(-3, L_TERMS_MAX + 1)
     with pytest.raises(ValueError, match="terms"):
         l_value_truncated(-1_000_003)  # 10 |D| > L_TERMS_MAX
     assert primes_below.cache_info().misses == builds
-    assert (len(globalmass._M_TERMS.chi), len(globalmass._M_TERMS.inv)) == kept
+    assert len(globalmass._M_TERMS.inv) == kept
 
 
 def test_l_values_build_no_sieve():
