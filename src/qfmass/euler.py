@@ -266,6 +266,12 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     the unconstrained p in T, with C = eps_infty * (-1)^[2 did not divide S]
     * prod c_p.  The (-1) factor mirrors the sign convention of the 2-adic
     unimodular row; with it the identity is exact for every S and constraint.
+
+    Both sides are accumulated as unreduced integer pairs (numerator,
+    denominator) from the numerators and denominators of the memoized
+    `density_ratio` and `_ab_coeff` values, so no gcd is taken per multiply
+    or add.  Every denominator is positive, so cross-multiplication decides
+    `equal`; `lhs` and `rhs` are then built as one reduced `Fraction` each.
     """
     constraints = dict(hasse_constraints or {})
     if any(eps not in (1, -1) for eps in constraints.values()):
@@ -274,39 +280,44 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     T = sorted({2} | {p for p, _ in Sq} | set(constraints))
     local = {p: LocalSquareClass.of(S, p) for p in T}
 
-    lhs = Fraction(0)
+    ln, ld = 0, 1
     for rec in genus_partition(S):
         # good primes carry label +1
         if any((rec.symbols[p].label if p in rec.symbols else 1) != want for p, want in constraints.items()):
             continue
-        term = Fraction(1)
-        for p in T:
-            if p in rec.symbols:
-                term *= density_ratio(rec.symbols[p])
-            # at a good odd prime the unique unimodular genus has ratio 1
-        lhs += term
+        # at a good odd prime in T the unique unimodular genus has ratio 1
+        n = d = 1
+        for sym in rec.symbols.values():
+            r = density_ratio(sym)
+            n *= r.numerator
+            d *= r.denominator
+        ln, ld = ln * d + n * ld, ld * d
 
     eps_infty = 1  # positive-definite binary forms
     C = eps_infty * (-1 if S % 2 else 1)
-    K = Fraction(1)
-    prodA = Fraction(1)
-    prodB = Fraction(1)
+    kn = kd = an = ad = bn = bd = 1  # K, prod A and prod B
     for p in T:
         A, B = _ab_coeff(p, local[p].unit, local[p].val)
         if p in constraints:
             # a constrained p contributes M~^{c_p} = (A + c_p B)/2
-            K *= (A + constraints[p] * B) / 2
-            C *= constraints[p]
+            c = constraints[p]
+            kn *= A.numerator * B.denominator + c * B.numerator * A.denominator
+            kd *= 2 * A.denominator * B.denominator
+            C *= c
         else:
-            prodA *= A
-            prodB *= B
-    rhs = K * (prodA + C * prodB) / 2
+            an *= A.numerator
+            ad *= A.denominator
+            bn *= B.numerator
+            bd *= B.denominator
+    # rhs = K (prod A + C prod B) / 2
+    rn = kn * (an * bd + C * bn * ad)
+    rd = 2 * kd * ad * bd
     return {
         "det": S,
         "constraints": constraints,
-        "lhs": lhs,
-        "rhs": rhs,
-        "equal": lhs == rhs,
+        "lhs": Fraction(ln, ld),
+        "rhs": Fraction(rn, rd),
+        "equal": ln * rd == rn * ld,
         "C": C,
     }
 

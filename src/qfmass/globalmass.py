@@ -38,11 +38,14 @@ class GenusReport:
 
 def genus_census(S: int) -> GenusReport:
     """The shared genus records of determinant S (see `genus_partition`)
-    with their total mass, sum 1/(2 |proper Aut|) over proper classes."""
+    with their total mass, sum 1/(2 |proper Aut|) over proper classes.
+    Every proper class of det S has w = mu_order(-S) proper automorphisms,
+    so the total is one Fraction: the class count over 2w."""
     if S <= 0:
         raise ValueError("determinant must be positive")
     genera = list(genus_partition(S))
-    return GenusReport(det=S, genera=genera, total_mass=sum((g.mass for g in genera), Fraction(0)))
+    total = Fraction(sum(len(g.classes) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
+    return GenusReport(det=S, genera=genera, total_mass=total)
 
 
 def kappa(S: int) -> int:

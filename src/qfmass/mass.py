@@ -125,10 +125,16 @@ def count_SO_mod_p(f: QuadForm, p: int) -> int:
 
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:
     """Ratio of Siegel masses of two genera with equal determinant, as the
-    product over p | 2 det of their inverse-local-density ratios."""
+    product over p | 2 det of their inverse-local-density ratios.
+
+    The product runs over plain integers, the numerators and denominators of
+    the memoized `local_density_inverse` values, and is reduced once into the
+    returned `Fraction`."""
     if set(symbols1) != set(symbols2):
         raise ValueError("genus symbol supports differ")
-    out = Fraction(1)
+    n = d = 1
     for p in symbols1:
-        out *= local_density_inverse(symbols1[p]) / local_density_inverse(symbols2[p])
-    return out
+        a, b = local_density_inverse(symbols1[p]), local_density_inverse(symbols2[p])
+        n *= a.numerator * b.denominator
+        d *= a.denominator * b.numerator
+    return Fraction(n, d)

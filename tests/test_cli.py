@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,36 @@ def test_verify_decomposition(capsys):
 def test_verify_siegel(capsys):
     code, out, _ = run_cli(capsys, "verify", "siegel", "--max-det", "150")
     assert code == 0 and "PASS siegel" in out
+
+
+def test_verify_decomposition_reports_a_failing_identity(monkeypatch, capsys):
+    """With the last genus of every S dropped the identity fails; each FAIL
+    line prints both sides reduced, as `decomposition_check` returns them."""
+    full = euler.genus_partition
+    monkeypatch.setattr(euler, "genus_partition", lambda S: full(S)[:-1])
+    code, out, _ = run_cli(capsys, "verify", "decomposition", "--max-det", "60")
+    assert code == 1
+    fails = re.findall(r"^FAIL decomposition S=(\d+): lhs=(\S+) rhs=(\S+)$", out, re.M)
+    assert len(fails) == 10 and "FAIL decomposition unconstrained" in out
+    multi = 0
+    for S, lhs, rhs in fails:
+        res = euler.decomposition_check(int(S))
+        assert (lhs, rhs) == (str(res["lhs"]), str(res["rhs"])) and lhs != rhs
+        for side in (lhs, rhs):
+            assert str(Fraction(side)) == side
+        if len(full(int(S))) >= 2:
+            multi += 1
+            assert "/" in lhs and "/" in rhs, S
+    assert multi >= 1
+
+
+def test_verify_siegel_reports_a_failing_ratio(monkeypatch, capsys):
+    ratio = cli.genus_mass_ratio
+    monkeypatch.setattr(cli, "genus_mass_ratio", lambda s1, s2: 2 * ratio(s1, s2))
+    code, out, _ = run_cli(capsys, "verify", "siegel", "--max-det", "100")
+    assert code == 1
+    assert re.search(r"^FAIL siegel S=\d+: census \S+ vs local \S+$", out, re.M)
+    assert "FAIL siegel mass-ratio identity" in out
 
 
 def test_verify_class_number(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qfmass import cli, euler, forms, globalmass
-from qfmass.arith import factor, gamma_factor, legendre
+from qfmass.arith import LocalSquareClass, factor, gamma_factor, legendre
 from qfmass.euler import (
     RationalFunction,
     a_coeff,
@@ -20,6 +20,7 @@ from qfmass.euler import (
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
 from qfmass.localgenus import genus_symbol_2, local_symbol
+from qfmass.mass import density_ratio, genus_mass_ratio, local_density_inverse
 
 from .test_arith import time_limit
 
@@ -212,6 +213,78 @@ def test_decomposition_sweep_with_random_constraints():
         primes = rng.sample(pool, rng.randint(1, min(3, len(pool))))
         cons = {p: rng.choice((1, -1)) for p in primes}
         assert decomposition_check(S, cons)["equal"], (S, cons)
+
+
+def _decomposition_reference(S, cons):
+    """Both sides of the decomposition identity in `Fraction` arithmetic,
+    reduced at every multiply and add: the reference for the integer
+    cross-multiplication in `decomposition_check`."""
+    T = sorted({2} | {p for p, _ in factor(S)} | set(cons))
+    lhs = Fraction(0)
+    for rec in euler.genus_partition(S):
+        if any((rec.symbols[p].label if p in rec.symbols else 1) != want for p, want in cons.items()):
+            continue
+        term = Fraction(1)
+        for p in T:
+            if p in rec.symbols:
+                term *= density_ratio(rec.symbols[p])
+        lhs += term
+    C = -1 if S % 2 else 1
+    K = prodA = prodB = Fraction(1)
+    for p in T:
+        local = LocalSquareClass.of(S, p)
+        A, B = euler._ab_coeff(p, local.unit, local.val)
+        if p in cons:
+            K *= (A + cons[p] * B) / 2
+            C *= cons[p]
+        else:
+            prodA *= A
+            prodB *= B
+    rhs = K * (prodA + C * prodB) / 2
+    return lhs, rhs, lhs == rhs
+
+
+def _mass_ratio_reference(symbols1, symbols2):
+    out = Fraction(1)
+    for p in symbols1:
+        out *= local_density_inverse(symbols1[p]) / local_density_inverse(symbols2[p])
+    return out
+
+
+def _check_against_references(S, cons):
+    res = decomposition_check(S, cons)
+    got = (res["lhs"], res["rhs"], res["equal"])
+    assert got == _decomposition_reference(S, cons), (S, cons)
+    assert all(type(x) is Fraction for x in got[:2]), (S, cons)
+    genera = genus_partition(S)
+    for other in genera[1:]:
+        ratio = genus_mass_ratio(other.symbols, genera[0].symbols)
+        assert ratio == _mass_ratio_reference(other.symbols, genera[0].symbols), S
+        assert type(ratio) is Fraction, S
+
+
+def test_integer_checks_equal_the_fraction_references():
+    rng = random.Random(20240)
+    for S in range(1, 1501):
+        _check_against_references(S, {})
+    for _ in range(200):
+        S = rng.randint(1, 1500)
+        pool = sorted({2, 3, 5, 7} | {p for p, _ in factor(S)})
+        primes = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        _check_against_references(S, {p: rng.choice((1, -1)) for p in primes})
+    for S in list(range(99000, 99040)) + [1021020]:
+        _check_against_references(S, {})
+    assert len(genus_partition(1021020)) == 32
+
+
+def test_decomposition_check_fails_when_a_genus_is_missing(monkeypatch):
+    full = genus_partition
+    monkeypatch.setattr(euler, "genus_partition", lambda S: full(S)[:-1])
+    for S in (48, 231, 4620):
+        assert len(full(S)) >= 2, S
+        res = decomposition_check(S)
+        assert res["equal"] is False and res["lhs"] != res["rhs"], S
+        assert (res["lhs"], res["rhs"], res["equal"]) == _decomposition_reference(S, {}), S
 
 
 def test_genus_partition_labels_consistent():
