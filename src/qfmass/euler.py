@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LocalSquareClass, chi, factor, gamma_factor
+from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
-from .localgenus import LocalGenusSymbol, enumerate_local_genera, genus_symbol_2, local_symbol
+from .localgenus import LocalGenusSymbol, OddGenusSymbol, enumerate_local_genera, genus_symbol_2
 from .mass import density_ratio
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,11 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     one S share one build.
 
     Classes are grouped by Gauss's assigned characters (Cox, Primes of the
-    form x^2 + ny^2, §3), and the local symbols are built once per genus, on
-    its first class: `genus_symbol_2` at 2 and `local_symbol` at every odd
-    p | S.  The characters read values the form represents.
+    form x^2 + ny^2, §3), and the local symbols are built once per genus:
+    `genus_symbol_2` on its first class at 2, and at every odd p | S the
+    symbol OddGenusSymbol(p, v, d, t_p) straight from the key below, with
+    (v, d) = `LocalSquareClass.of(S, p)` computed once per S.  The
+    characters read values the form represents.
 
     - At an odd p | S the key is t_p = (a|p), or (c|p) when p | a.  A
       primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
@@ -211,7 +213,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       OddGenusSymbol(p, v, d, t_p) with v = ord_p(S) and d the unit class of
       S, both fixed by S.  Equal t_p thus means an equal odd symbol.  The
       key holds t_p by Euler's criterion, u1^((p-1)/2) mod p, which is 1 or
-      p - 1 for the p-unit u1: one `pow` in place of a `kronecker` call.
+      p - 1 for the p-unit u1: one `pow` in place of a `kronecker` call; 1
+      is the tag QR and p - 1 the tag NQR.
     - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
       eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
       (b = S (mod 2), so a and c are not both even).  With n = S/4, the
@@ -229,6 +232,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
+    local = {p: LocalSquareClass.of(S, p) for p in odd}
     chars = _two_adic_characters(S)
     key_2 = [tuple(ch[i] for ch in chars) for i in range(4)]
 
@@ -244,12 +248,14 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
     records = []
-    for classes in groups.values():
-        first = classes[0]
+    for key, classes in groups.items():
+        odd_symbols = {
+            p: OddGenusSymbol(p, d.val, d.unit, QR if t == 1 else NQR) for (p, d), t in zip(local.items(), key[1:])
+        }
         records.append(
             GenusRecord(
                 classes=tuple(classes),
-                symbols={2: genus_symbol_2(first), **{p: local_symbol(first, p) for p in odd}},
+                symbols={2: genus_symbol_2(classes[0]), **odd_symbols},
                 aut_orders=[aut_order(f) for f in classes],
                 mass=Fraction(len(classes), 2 * w),
             )

@@ -7,9 +7,10 @@ forms occur, so determinants and Hasse invariants are closed forms:
 a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
 takes, hence c_v = (x, -det_H/4)_v = (x, -det_H)_v, since 4 is a square.
 
-The census reads its classes from `reduced_classes`, a blocked numpy scan.
-`enumerate_classes` is the brute-force oracle that scan and the analytic
-machinery are checked against, so it stays elementary on purpose.
+The census reads its classes from `reduced_classes`, a numpy scan over
+windows of consecutive determinants.  `enumerate_classes` is the
+brute-force oracle that scan and the analytic machinery are checked
+against, so it stays elementary on purpose.
 """
 from __future__ import annotations
 
@@ -188,55 +189,124 @@ def enumerate_classes(S: int) -> list[QuadForm]:
     return out
 
 
-# Most (a, b) pairs one block of the `reduced_classes` scan holds: each
-# int64 array of a block is 2 MiB, and at most five are alive at once.
+# Most (a, b) pairs one block of a `_window` scan holds: each int64 array of
+# a block is 2 MiB, and at most five are alive at once.
 SCAN_BLOCK_PAIRS = 1 << 18
+
+# Caps the width of a `reduced_classes` window so that it holds about
+# WINDOW_FORMS / 2 forms: three int64 arrays of 1 MiB each.
+WINDOW_FORMS = 1 << 18
+
+
+def _window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The reduced primitive forms with lo <= 4ac - b^2 < hi, as arrays
+    a, b, c stably sorted by determinant, so each determinant's forms are in
+    `abc` order, and their offsets: the forms of S are the entries
+    start[S - lo] to start[S - lo + 1].
+
+    A reduced form has |b| <= a <= sqrt(S/3).  With r = (hi - 1 + b^2) mod 4a
+    a pair (a, b) has a c with lo <= 4ac - b^2 < hi iff r < hi - lo: the
+    largest is c = (hi - 1 + b^2 - r)/4a, and each 4a further down the
+    window gives one more, so only a pair with 4a < hi - lo can have
+    several.  The scan keeps the c >= a, not (b < 0 and a = c), with
+    gcd(a, b, c) = 1.  One determinant S forces b = S (mod 2), so its
+    window takes a candidates b in (-a, a] per a, a wider one all 2a; and
+    it needs no sort.  The scan runs over blocks of consecutive a of at most
+    SCAN_BLOCK_PAIRS pairs (one block for one determinant up to about
+    1.5 * 10^6), so memory stays bounded at any S; the forms are int64.
+    """
+    width = hi - lo
+    step = 1 if width > 1 else 2  # between the candidates b of one a
+    a_max = isqrt((hi - 1) // 3)
+    parts = []
+    a0 = 1
+    while a0 <= a_max:
+        # the largest a1 with (2 / step) * (a0 + ... + (a1 - 1)) <= SCAN_BLOCK_PAIRS, at least a0 + 1
+        n = 2 * (SCAN_BLOCK_PAIRS * step // 2) + a0 * (a0 - 1)
+        a1 = min(max((1 + isqrt(1 + 4 * n)) // 2, a0 + 1), a_max + 1)
+        a = np.arange(a0, a1, dtype=np.int64)
+        count = a if step == 2 else 2 * a
+        # the candidates of a are b = b0(a) + step * k, k < count, with b0 the least b > -a,
+        # and b0 = lo (mod 2) for one determinant
+        b0 = 1 - a + (a + 1 + lo) % 2 if step == 2 else 1 - a
+        start = np.cumsum(count) - count  # index of each a's first pair
+        b = np.arange(int(count.sum()), dtype=np.int64)
+        b *= step
+        b += np.repeat(b0 - step * start, count)
+        a = np.repeat(a, count)
+        num = b * b
+        num += hi - 1
+        hit = num % (4 * a) < width
+        a, b, num = a[hit], b[hit], num[hit]
+        c = num // (4 * a)
+        if width > 4 * a0:
+            # a pair with 4a < width can have several c: 4ac - b^2 - lo lies 4a above lo per extra c
+            k = (4 * a * c - b * b - lo) // (4 * a) + 1
+            a, b, c = np.repeat(a, k), np.repeat(b, k), np.repeat(c, k)
+            c -= np.arange(len(c)) - np.repeat(np.cumsum(k) - k, k)
+        keep = (c >= a) & ~((b < 0) & (a == c))
+        a, b, c = a[keep], b[keep], c[keep]
+        keep = np.gcd(np.gcd(a, b), c) == 1
+        parts.append((a[keep], b[keep], c[keep]))
+        a0 = a1
+    if not parts:  # hi <= 3: no a at all
+        parts.append((np.empty(0, np.int64),) * 3)
+    a, b, c = parts[0] if len(parts) == 1 else (np.concatenate(xs) for xs in zip(*parts))
+    if width == 1:
+        return a, b, c, [0, len(a)]
+    S = 4 * a * c - b * b
+    order = np.argsort(S, kind="stable")
+    start = np.searchsorted(S[order], np.arange(lo, hi + 1)).tolist()
+    return a[order], b[order], c[order], start
+
+
+class _ClassWindow:
+    """The held window of `reduced_classes`: the forms of lo <= S < hi
+    from one `_window` scan, replaced by the readahead rule stated there."""
+
+    def __init__(self) -> None:
+        self.lo = self.hi = 0
+        self.a = self.b = self.c = np.empty(0, np.int64)
+        self.start = [0]
+
+    def classes(self, S: int) -> list[QuadForm]:
+        if not self.lo <= S < self.hi:
+            width = self.hi - self.lo
+            width = 2 * width if self.hi <= S < self.hi + width else 1
+            width = max(1, min(width, WINDOW_FORMS // (isqrt((S + width) // 3) + 1)))
+            self.lo = self.hi = S
+            self.a = self.b = self.c = np.empty(0, np.int64)
+            self.a, self.b, self.c, self.start = _window(S, S + width)
+            self.hi = S + width
+        i, j = self.start[S - self.lo], self.start[S - self.lo + 1]
+        return list(map(QuadForm, self.a[i:j].tolist(), self.b[i:j].tolist(), self.c[i:j].tolist()))
+
+
+_CLASSES = _ClassWindow()
 
 
 def reduced_classes(S: int) -> list[QuadForm]:
     """The classes of `enumerate_classes(S)`, in the same `abc` order, from a
-    numpy scan: the census's class source.
+    numpy window scan: the census's class source.
 
-    A reduced form has |b| <= a <= sqrt(S/3), and 4ac - b^2 = S forces
-    b = S (mod 2), so each a has exactly a candidates b in (-a, a].  The scan
-    keeps the (a, b) with 4a | S + b^2, c = (S + b^2)/4a >= a, not (b < 0 and
-    a = c), and gcd(a, b, c) = 1.  It runs over blocks of consecutive a of at
-    most SCAN_BLOCK_PAIRS pairs (one block up to S of about 1.5 * 10^6), so
-    memory stays bounded at any S; the forms get Python ints.
+    The classes come from a window lo <= S < hi of consecutive
+    determinants: one `_window` scan over the (a, b) pairs with
+    a <= sqrt(hi/3) buckets the forms by determinant (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.3.5).  One window is
+    held.  A determinant outside it starts a new window at it, twice as
+    wide as the last when S lies at most one width past it (a forward
+    walk), else one determinant wide: a walk scans a window per doubling
+    of its length until the cap below binds, and random access costs one
+    per-S scan.  A window holds about a_max/2 forms per determinant,
+    a_max = sqrt(hi/3), so its width is capped at
+    WINDOW_FORMS / (a_max + 1), about WINDOW_FORMS / 2 forms.  The old
+    window is dropped before the new one is scanned, so the two are never
+    held at once.  Calls from several threads at once could race on a new
+    window; the package makes none.
     """
     if S <= 0:
         raise ValueError("determinant must be positive")
-    a_max = isqrt(S // 3)
-    out: list[QuadForm] = []
-    a0 = 1
-    while a0 <= a_max:
-        # the largest a1 with a0 + ... + (a1 - 1) <= SCAN_BLOCK_PAIRS, at least a0 + 1
-        n = 2 * SCAN_BLOCK_PAIRS + a0 * (a0 - 1)
-        a1 = min(max((1 + isqrt(1 + 4 * n)) // 2, a0 + 1), a_max + 1)
-        out += _reduced_block(S, a0, a1)
-        a0 = a1
-    return out
-
-
-def _reduced_block(S: int, a0: int, a1: int) -> list[QuadForm]:
-    """The `reduced_classes` of S with a0 <= a < a1."""
-    a = np.arange(a0, a1, dtype=np.int64)
-    # the candidates of a are b = b0(a) + 2k, k < a, with b0 the least b > -a, b = S (mod 2)
-    b0 = 1 - a + (a + 1 + S) % 2
-    start = np.cumsum(a) - a  # index of each a's first pair
-    b = np.arange(int(a.sum()), dtype=np.int64)
-    b *= 2
-    b += np.repeat(b0 - 2 * start, a)
-    a = np.repeat(a, a)
-    num = b * b
-    num += S
-    hit = num % (4 * a) == 0
-    a, b, num = a[hit], b[hit], num[hit]
-    c = num // (4 * a)
-    keep = (c >= a) & ~((b < 0) & (a == c))
-    a, b, c = a[keep], b[keep], c[keep]
-    keep = np.gcd(np.gcd(a, b), c) == 1
-    return list(map(QuadForm, a[keep].tolist(), b[keep].tolist(), c[keep].tolist()))
+    return _CLASSES.classes(S)
 
 
 def mirror(f: QuadForm) -> QuadForm:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfmass import cli, euler, forms, globalmass
+from qfmass import cli, euler, forms, globalmass, localgenus
 from qfmass.arith import LocalSquareClass, factor, gamma_factor, legendre
 from qfmass.euler import (
     RationalFunction,
@@ -328,28 +328,25 @@ def test_genus_partition_equals_the_per_class_symbol_oracle():
 def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     """Each S has several genera of several classes, so per-class symbol
     work would show in the count.  The grouping key reads characters, so
-    the 2-adic symbol, like the odd ones, is built once per genus."""
+    the 2-adic symbol is built once per genus, and the odd symbols come
+    straight from the key, with no per-form symbol call at all."""
     calls = []
 
-    def counting(f, p):
-        calls.append((f.abc, p))
-        return local_symbol(f, p)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
 
-    calls_2 = []
+        return wrapped
 
-    def counting_2(f):
-        calls_2.append(f.abc)
-        return genus_symbol_2(f)
-
-    monkeypatch.setattr(euler, "local_symbol", counting)
-    monkeypatch.setattr(euler, "genus_symbol_2", counting_2)
+    for name in ("local_symbol", "jordan_split_odd"):
+        monkeypatch.setattr(localgenus, name, counting(name, getattr(localgenus, name)))
+    monkeypatch.setattr(euler, "genus_symbol_2", counting("genus_symbol_2", genus_symbol_2))
     genus_partition.cache_clear()
     genera = genus_partition(S)
-    odd = {p for p, _ in factor(S) if p != 2}
     n_classes = sum(len(rec.classes) for rec in genera)
     assert 1 < len(genera) < n_classes
-    assert len(calls_2) == len(genera)
-    assert len(calls) == len(genera) * len(odd)
+    assert calls == ["genus_symbol_2"] * len(genera)
 
 
 def _patch_automorphism_scans(monkeypatch, scan):

@@ -242,6 +242,77 @@ def test_class_source_memory_stays_bounded():
     assert all(4 * f.a * f.c - f.b * f.b == S and is_primitive(f) for f in classes)
 
 
+def _buckets(lo: int, hi: int) -> list[list[tuple[int, int, int]]]:
+    """The forms of each S in [lo, hi) as one `_window` scan returns them."""
+    a, b, c, start = forms_module._window(lo, hi)
+    assert len(start) == hi - lo + 1 and start[-1] == len(a) == len(b) == len(c)
+    forms = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    return [forms[start[i] : start[i + 1]] for i in range(hi - lo)]
+
+
+@pytest.fixture
+def fresh_window(monkeypatch):
+    """A class source holding no window yet, so no earlier test decides
+    the width of the first window."""
+    window = forms_module._ClassWindow()
+    monkeypatch.setattr(forms_module, "_CLASSES", window)
+    return window
+
+
+def test_class_source_equals_the_oracle_on_a_forward_walk(fresh_window):
+    widths = set()
+    for S in list(range(1, 2001)) + list(range(99000, 99040)):
+        assert reduced_classes(S) == enumerate_classes(S), S
+        widths.add(fresh_window.hi - fresh_window.lo)
+    assert max(widths) >= 64  # the walk read ahead
+
+
+def test_class_source_equals_the_oracle_in_shuffled_order(fresh_window):
+    dets = list(range(1, 2001))
+    random.Random(11).shuffle(dets)
+    for S in dets:
+        assert reduced_classes(S) == enumerate_classes(S), S
+
+
+def test_class_source_width_resets_after_a_jump_back(fresh_window):
+    for S in range(1000, 1400):
+        assert reduced_classes(S) == enumerate_classes(S), S
+    assert fresh_window.hi - fresh_window.lo > 1
+    assert reduced_classes(500) == enumerate_classes(500)
+    assert (fresh_window.lo, fresh_window.hi) == (500, 501)
+    for S in range(501, 600):
+        assert reduced_classes(S) == enumerate_classes(S), S
+
+
+@pytest.mark.parametrize("lo", [1, 1000, 99000])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 64])
+def test_window_buckets_equal_the_oracle(lo, width):
+    # at width 64 every a < 16 has 4a < width: such a pair can give several c
+    expected = [[f.abc for f in enumerate_classes(S)] for S in range(lo, lo + width)]
+    assert _buckets(lo, lo + width) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5000), st.integers(1, 64))
+def test_window_buckets_equal_the_oracle_property(lo, width):
+    expected = [[f.abc for f in enumerate_classes(S)] for S in range(lo, lo + width)]
+    assert _buckets(lo, lo + width) == expected
+
+
+def test_held_window_stays_within_the_forms_cap(monkeypatch, fresh_window):
+    def walk(dets, check):
+        for S in dets:
+            classes = reduced_classes(S)
+            assert len(fresh_window.a) <= forms_module.WINDOW_FORMS, S
+            if check:
+                assert classes == enumerate_classes(S), S
+
+    walk(range(10**6, 10**6 + 400), check=False)
+    assert fresh_window.hi - fresh_window.lo > 1
+    monkeypatch.setattr(forms_module, "WINDOW_FORMS", 1 << 12)
+    walk(list(range(1, 3000)) + list(range(99000, 99400)), check=True)
+
+
 def test_enumerate_pairwise_inequivalent_and_reduced():
     rng = random.Random(3)
     for S in (23, 32, 36, 48, 75):
