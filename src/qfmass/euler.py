@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
-from .localgenus import LocalGenusSymbol, OddGenusSymbol, enumerate_local_genera, genus_symbol_2
+from .localgenus import LocalGenusSymbol, OddGenusSymbol, enumerate_local_genera, two_adic_symbol
 from .mass import density_ratio
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,32 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 
 @dataclass(frozen=True)
 class GenusRecord:
-    """One genus of primitive proper classes of a determinant: its classes in
-    `abc` order, with local symbols (each carrying its Hasse label) at
-    p | 2S, |Aut f| per class and the genus mass.  Records are shared through the
+    """One genus of primitive proper classes of a determinant: its classes as
+    the class source hands them over, (a, b, c) int triples in `abc` order,
+    with its local symbols (each carrying its Hasse label) at p | 2S and its
+    mass.  `classes` and `aut_orders` are computed when read; only `classify`,
+    the tests and the demos read them.  Records are shared through the
     `genus_partition` memo, so no caller may mutate one.
     """
 
-    classes: tuple[QuadForm, ...]
+    abc: tuple[QuadForm, ...]
     symbols: dict[int, LocalGenusSymbol]
-    aut_orders: list[int]
     mass: Fraction  # sum over the classes of 1/(2 |proper Aut|)
+
+    @property
+    def classes(self) -> tuple[QuadForm, ...]:
+        """The classes as forms: each triple is a `QuadForm` already."""
+        return self.abc
+
+    @property
+    def aut_orders(self) -> list[int]:
+        """|Aut f| per class, from the closed form for a reduced primitive
+        form of discriminant -S: w = mu_order(-S) proper automorphisms, and
+        2w when the form is ambiguous (b = 0, a = b or a = c).
+        `forms.automorphism_count` is the oracle the tests hold this to."""
+        a, b, c = self.abc[0]
+        w = mu_order(b * b - 4 * a * c)
+        return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.abc]
 
 
 # Gauss's 2-adic assigned characters at an odd u, as their values at
@@ -195,71 +211,69 @@ def _two_adic_characters(S: int) -> tuple[tuple[int, int, int, int], ...]:
 def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     """Primitive proper classes of determinant S grouped into genera, the
     only enumeration behind the census.  The classes come from the class
-    source `reduced_classes` in `abc` order, kept within and across genera.
-    Memoized for the latest S: the census and both decomposition checks of
-    one S share one build.
+    source `reduced_classes` as (a, b, c) int triples in `abc` order, kept
+    within and across genera.  Memoized for the latest S: the census and
+    both decomposition checks of one S share one build.
 
     Classes are grouped by Gauss's assigned characters (Cox, Primes of the
-    form x^2 + ny^2, §3), and the local symbols are built once per genus:
-    `genus_symbol_2` on its first class at 2, and at every odd p | S the
-    symbol OddGenusSymbol(p, v, d, t_p) straight from the key below, with
-    (v, d) = `LocalSquareClass.of(S, p)` computed once per S.  The
-    characters read values the form represents.
+    form x^2 + ny^2, §3), read off plain ints: the census builds no form,
+    automorphism order or symbol per class.  The key of a class is one
+    int: the bits of its 2-adic characters that are -1, then one bit per
+    odd p | S, set when its character at p is -1.  The characters read
+    values the form represents.
 
-    - At an odd p | S the key is t_p = (a|p), or (c|p) when p | a.  A
-      primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and p | c
-      (p would divide b too), and it splits over Z_p as <u1> + <S/u1> with
-      u1 = a or c the p-unit; so its Jordan symbol is
-      OddGenusSymbol(p, v, d, t_p) with v = ord_p(S) and d the unit class of
-      S, both fixed by S.  Equal t_p thus means an equal odd symbol.  The
-      key holds t_p by Euler's criterion, u1^((p-1)/2) mod p, which is 1 or
-      p - 1 for the p-unit u1: one `pow` in place of a `kronecker` call; 1
-      is the tag QR and p - 1 the tag NQR.
+    - At an odd p | S the character is t_p = (a|p), or (c|p) when p | a.
+      A primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and
+      p | c (p would divide b too), and it splits over Z_p as
+      <u1> + <S/u1> with u1 = a or c the p-unit; so its Jordan symbol is
+      OddGenusSymbol(p, v, d, t_p) with (v, d) = `LocalSquareClass.of(S, p)`,
+      fixed by S.  Equal t_p thus means an equal odd symbol, read straight
+      from the key.  The bit is t_p = -1 by Euler's criterion,
+      u1^((p-1)/2) mod p != 1: one `pow` in place of a `kronecker` call.
     - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
       eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
       (b = S (mod 2), so a and c are not both even).  With n = S/4, the
       characters are none for S = 3 (mod 4) or n = 3 (mod 4); delta for
       n = 1 (mod 4) or n = 4 (mod 8); delta*eps for n = 2 (mod 8); eps for
-      n = 6 (mod 8); delta and eps for n = 0 (mod 8).
+      n = 6 (mod 8); delta and eps for n = 0 (mod 8).  The 2-adic symbol
+      of a genus is `two_adic_symbol` at ord_2(S), the unit of S mod 8 and
+      u mod 8 of its first class, memoized on that triple.
 
-    Automorphism orders come from the closed form for a reduced primitive
-    form of discriminant -S: |proper Aut| = w = mu_order(-S), and |Aut| is 2w
-    when the form is ambiguous (b = 0, a = b or a = c), else w.  So a genus
-    of n classes has mass n/(2w).  `forms.automorphism_count` is the oracle
-    the tests hold this to.
+    Every class has w = mu_order(-S) proper automorphisms, so a genus of n
+    classes has mass n/(2w); `GenusRecord.aut_orders` gives |Aut| per class
+    when read.
     """
     odd = [p for p, _ in factor(S) if p != 2]
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
-    local = {p: LocalSquareClass.of(S, p) for p in odd}
     chars = _two_adic_characters(S)
-    key_2 = [tuple(ch[i] for ch in chars) for i in range(4)]
+    # bit j of key_2[(u >> 1) & 3] is set when the j-th character is -1 at u
+    key_2 = [sum(1 << j for j, ch in enumerate(chars) if ch[i] == -1) for i in range(4)]
+    odd_bit = 1 << len(chars)
 
-    def aut_order(f: QuadForm) -> int:
-        a, b, c = f.abc
-        return 2 * w if b == 0 or a == b or a == c else w
-
-    groups: dict[tuple, list[QuadForm]] = {}
+    groups: dict[int, list[QuadForm]] = {}
     for f in reduced_classes(S):
-        a, _, c = f.abc
-        u = a if a & 1 else c
-        key = (key_2[(u >> 1) & 3], *(pow(a if a % p else c, p >> 1, p) for p in odd))
+        a, _, c = f
+        key = key_2[((a if a & 1 else c) >> 1) & 3]
+        bit = odd_bit
+        for p in odd:
+            if pow(a if a % p else c, p >> 1, p) != 1:
+                key |= bit
+            bit <<= 1
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
+    sq2 = LocalSquareClass.of(S, 2)
+    local = [LocalSquareClass.of(S, p) for p in odd]
     records = []
     for key, classes in groups.items():
-        odd_symbols = {
-            p: OddGenusSymbol(p, d.val, d.unit, QR if t == 1 else NQR) for (p, d), t in zip(local.items(), key[1:])
-        }
-        records.append(
-            GenusRecord(
-                classes=tuple(classes),
-                symbols={2: genus_symbol_2(classes[0]), **odd_symbols},
-                aut_orders=[aut_order(f) for f in classes],
-                mass=Fraction(len(classes), 2 * w),
-            )
-        )
+        a, _, c = classes[0]
+        symbols: dict[int, LocalGenusSymbol] = {2: two_adic_symbol(sq2.val, sq2.unit, (a if a & 1 else c) & 7)}
+        bit = odd_bit
+        for p, d in zip(odd, local):
+            symbols[p] = OddGenusSymbol(p, d.val, d.unit, NQR if key & bit else QR)
+            bit <<= 1
+        records.append(GenusRecord(abc=tuple(classes), symbols=symbols, mass=Fraction(len(classes), 2 * w)))
     return tuple(records)
 
 

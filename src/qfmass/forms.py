@@ -14,17 +14,18 @@ against, so it stays elementary on purpose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import hilbert_symbol
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Binary form a*x^2 + b*x*y + c*y^2 with integer coefficients."""
+class QuadForm(NamedTuple):
+    """Binary form a*x^2 + b*x*y + c*y^2 with integer coefficients, held as
+    the int triple (a, b, c): it compares, hashes and unpacks as that tuple,
+    so a class source hands over its triples at the cost of a tuple."""
 
     a: int
     b: int
@@ -287,7 +288,9 @@ _CLASSES = _ClassWindow()
 
 def reduced_classes(S: int) -> list[QuadForm]:
     """The classes of `enumerate_classes(S)`, in the same `abc` order, from a
-    numpy window scan: the census's class source.
+    numpy window scan: the census's class source.  Each class is a
+    `QuadForm`, that is its (a, b, c) int triple, which the census groups
+    as plain ints.
 
     The classes come from a window lo <= S < hi of consecutive
     determinants: one `_window` scan over the (a, b) pairs with

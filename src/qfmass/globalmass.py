@@ -44,7 +44,7 @@ def genus_census(S: int) -> GenusReport:
     if S <= 0:
         raise ValueError("determinant must be positive")
     genera = list(genus_partition(S))
-    total = Fraction(sum(len(g.classes) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
+    total = Fraction(sum(len(g.abc) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
     return GenusReport(det=S, genera=genera, total_mass=total)
 
 
@@ -397,9 +397,9 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
         _l_terms(-S, prime_bound)
     rep = genus_census(S)
     numeric = total_mass_numeric(S, prime_bound)
-    # one row per class, sorted by its distinct (a, b, c); each genus's
-    # classes are in abc order, so its index list comes out ascending
-    rows = sorted((f.abc, n, i) for i, g in enumerate(rep.genera) for f, n in zip(g.classes, g.aut_orders))
+    # one row per class, sorted by its distinct (a, b, c) triple; each genus's
+    # triples are in abc order, so its index list comes out ascending
+    rows = sorted((abc, n, i) for i, g in enumerate(rep.genera) for abc, n in zip(g.abc, g.aut_orders))
     genera: list[list[int]] = [[] for _ in rep.genera]
     for k, (_, _, i) in enumerate(rows):
         genera[i].append(k)

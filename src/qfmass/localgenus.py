@@ -22,6 +22,7 @@ underlying spaces.  The global bookkeeping compensates; see euler.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .arith import (
@@ -34,7 +35,7 @@ from .arith import (
     kronecker,
     smallest_nonresidue,
 )
-from .forms import QuadForm, content, det_hessian, hasse_invariant
+from .forms import QuadForm, content, det_hessian
 
 SHAPE_BAR2 = "(2bar)"
 SHAPE_I2 = "(2)"
@@ -129,6 +130,21 @@ def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
     return OddGenusSymbol(p, d.val, d.unit, kronecker(a if a % p else c, p))
 
 
+@lru_cache(maxsize=None)
+def two_adic_symbol(nu: int, unit: int, u1: int) -> TwoAdicGenusSymbol:
+    """The 2-adic symbol of a primitive binary form with ord_2(det_H) = nu,
+    det_H / 2^nu = unit (mod 8) and odd coefficient u1 (mod 8), a, or c when
+    a is even: these three residues are all the symbol reads.  The label is
+    the Hasse invariant (u1, -det_H)_2, since any value the form takes gives
+    it, and the Hilbert symbol of a unit u1 reads only u1 and the class of
+    -det_H mod squares.  Memoized: a census adds at most 4 entries per
+    (nu, unit), one per odd u1 (mod 8)."""
+    if nu == 0:
+        # even-unimodular row: table label, not the pairwise-symbol value
+        return TwoAdicGenusSymbol(0, unit, -1, None)
+    return TwoAdicGenusSymbol(nu, unit, hilbert_symbol(u1, -unit << nu, 2), _canonical_lead(nu, u1))
+
+
 def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     """2-adic genus invariant of a primitive integral binary form."""
     if content(f) % 2 == 0:
@@ -137,13 +153,8 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     if d == 0:
         raise ValueError("degenerate form")
     sq = LocalSquareClass.of(d, 2)
-    nu, unit = sq.val, sq.unit
-    if nu == 0:
-        # even-unimodular row: table label, not the pairwise-symbol value
-        return TwoAdicGenusSymbol(0, unit, -1, None)
     a, _, c = f.abc
-    u1 = a if a % 2 else c
-    return TwoAdicGenusSymbol(nu, unit, hasse_invariant(f, 2), _canonical_lead(nu, u1 % 8))
+    return two_adic_symbol(sq.val, sq.unit, (a if a % 2 else c) % 8)
 
 
 def local_symbol(f: QuadForm, p: int) -> LocalGenusSymbol:

@@ -19,7 +19,7 @@ from qfmass.euler import (
 )
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
-from qfmass.localgenus import genus_symbol_2, local_symbol
+from qfmass.localgenus import TwoAdicGenusSymbol, genus_symbol_2, local_symbol
 from qfmass.mass import density_ratio, genus_mass_ratio, local_density_inverse
 
 from .test_arith import time_limit
@@ -327,9 +327,10 @@ def test_genus_partition_equals_the_per_class_symbol_oracle():
 @pytest.mark.parametrize("S", [231, 1560, 4620, 99960])
 def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     """Each S has several genera of several classes, so per-class symbol
-    work would show in the count.  The grouping key reads characters, so
-    the 2-adic symbol is built once per genus, and the odd symbols come
-    straight from the key, with no per-form symbol call at all."""
+    work would show in the count.  The odd symbols come straight from the
+    grouping key, with no symbol call at all, and the 2-adic symbol from
+    `two_adic_symbol`, memoized on (nu_2(S), unit of S mod 8, u1 mod 8): it
+    misses at most once per such key among the classes."""
     calls = []
 
     def counting(name, fn):
@@ -339,14 +340,67 @@ def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
 
         return wrapped
 
-    for name in ("local_symbol", "jordan_split_odd"):
+    for name in ("local_symbol", "jordan_split_odd", "genus_symbol_2"):
         monkeypatch.setattr(localgenus, name, counting(name, getattr(localgenus, name)))
-    monkeypatch.setattr(euler, "genus_symbol_2", counting("genus_symbol_2", genus_symbol_2))
     genus_partition.cache_clear()
+    localgenus.two_adic_symbol.cache_clear()
     genera = genus_partition(S)
     n_classes = sum(len(rec.classes) for rec in genera)
     assert 1 < len(genera) < n_classes
-    assert calls == ["genus_symbol_2"] * len(genera)
+    assert calls == []
+    sq = LocalSquareClass.of(S, 2)
+    keys = {(sq.val, sq.unit, (a if a % 2 else c) % 8) for rec in genera for a, _, c in rec.abc}
+    assert localgenus.two_adic_symbol.cache_info().misses <= len(keys)
+
+
+def _genus_symbol_2_reference(f):
+    """The 2-adic symbol computed per form, with its label the Hasse
+    invariant `hasse_invariant(f, 2)` at a: the reference for the memo key
+    of `two_adic_symbol`, which reads only nu_2(S), S/2^nu mod 8 and u1 mod 8."""
+    sq = LocalSquareClass.of(forms.det_hessian(f), 2)
+    if sq.val == 0:
+        return TwoAdicGenusSymbol(0, sq.unit, -1, None)
+    a, _, c = f.abc
+    u1 = a if a % 2 else c
+    return TwoAdicGenusSymbol(sq.val, sq.unit, forms.hasse_invariant(f, 2), localgenus._canonical_lead(sq.val, u1 % 8))
+
+
+def test_two_adic_symbol_memo_equals_the_per_form_reference():
+    """On every class, not only the first of each genus, the memoized 2-adic
+    symbol equals the per-form reference and the census's symbol at 2."""
+    for S in list(range(1, 3001)) + list(range(99000, 99040)):
+        for rec in genus_partition(S):
+            for f in rec.classes:
+                assert genus_symbol_2(f) == _genus_symbol_2_reference(f) == rec.symbols[2], (S, f)
+
+
+def test_census_groups_triples_and_builds_no_form(monkeypatch):
+    """The census, the Siegel ratios and both decomposition checks read the
+    records' triples, counts and symbols: neither `euler` nor `globalmass`
+    builds a `QuadForm`.  `classes` and `aut_orders`, when read, equal the
+    oracles."""
+
+    def refuse(*args):
+        raise AssertionError(f"QuadForm{args} built")
+
+    realizable = [S for S in range(1, 501) if S % 4 in (0, 3)]
+    for mod in (euler, globalmass):
+        monkeypatch.setattr(mod, "QuadForm", refuse)
+    genus_partition.cache_clear()
+    for S in realizable:
+        rep = genus_census(S)
+        base = rep.genera[0]
+        for other in rep.genera[1:]:
+            assert genus_mass_ratio(other.symbols, base.symbols) == other.mass / base.mass, S
+        assert decomposition_check(S)["equal"], S
+        assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
+    monkeypatch.undo()
+    for S in realizable:
+        genera = genus_partition(S)
+        assert sorted(f for rec in genera for f in rec.classes) == forms.enumerate_classes(S), S
+        for rec in genera:
+            assert rec.classes == rec.abc and list(rec.abc) == sorted(rec.abc), S
+            assert rec.aut_orders == [automorphism_count(f) for f in rec.classes], S
 
 
 def _patch_automorphism_scans(monkeypatch, scan):

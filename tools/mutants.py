@@ -1,0 +1,147 @@
+"""The mutant kill matrix: planted one-line defects in `src/qfmass` and the
+`verify` suites expected to catch each one.
+
+    python3 tools/mutants.py
+
+Each mutant is an exact replacement in one source file that must apply
+exactly once.  The tool copies `src/` to a temporary directory per mutant,
+applies the replacement there and runs every suite of SUITES against the
+copy; a suite kills a mutant when it exits nonzero.  The unmutated source
+runs first and must pass every suite.
+
+Prints the matrix and exits 1 when the unmutated source fails a suite, a
+replacement does not apply exactly once, or an expected kill comes back
+live.  A kill that is not expected is reported and does not fail the run:
+expectations are only ever added.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# suite name -> arguments of `qfmass verify`
+SUITES = {
+    "decomposition": ["decomposition", "--max-det", "2000"],
+    "siegel": ["siegel", "--max-det", "2000"],
+    "class-number": ["class-number", "--dmax", "500"],
+    "euler-closed-forms": ["euler-closed-forms"],
+}
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/qfmass
+    old: str
+    new: str
+    kills: frozenset[str]  # the suites expected to kill it
+
+
+MUTANTS = (
+    Mutant(
+        "2-adic nu = 0 density doubled",
+        "mass.py",
+        "        out /= 2\n",
+        "        out /= 4\n",
+        frozenset({"euler-closed-forms"}),
+    ),
+    Mutant(
+        "odd nu = 2 density times p",
+        "mass.py",
+        "    out = conv.as_fraction()\n",
+        "    out = conv.as_fraction() / (p if p != 2 and nu == 2 else 1)\n",
+        frozenset({"euler-closed-forms"}),
+    ),
+    Mutant(
+        "n = 2 (mod 8) keyed by delta, not delta*eps",
+        "euler.py",
+        "        return (_DELTA_EPSILON,)\n",
+        "        return (_DELTA,)\n",
+        frozenset({"decomposition", "siegel"}),
+    ),
+    Mutant(
+        "last odd p dropped from the key",
+        "euler.py",
+        "        for p in odd:\n",
+        "        for p in odd[:-1]:\n",
+        frozenset({"decomposition"}),
+    ),
+    Mutant(
+        "odd tag QR <-> NQR",
+        "euler.py",
+        "NQR if key & bit else QR",
+        "QR if key & bit else NQR",
+        frozenset({"decomposition"}),
+    ),
+    # no suite reads |Aut| per class: only a golden digest of `classify` does
+    Mutant(
+        "a = b not counted ambiguous in aut_orders",
+        "euler.py",
+        "2 * w if b == 0 or a == b or a == c else w",
+        "2 * w if b == 0 or a == c else w",
+        frozenset(),
+    ),
+)
+
+
+def run_suites(src: Path) -> dict[str, bool]:
+    """Suite name -> True when the suite exits nonzero on the source tree `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    killed = {}
+    for suite, args in SUITES.items():
+        cmd = [sys.executable, "-m", "qfmass.cli", "verify", *args]
+        proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300)
+        killed[suite] = proc.returncode != 0
+    return killed
+
+
+def mutate(src: Path, m: Mutant) -> None:
+    target = src / "qfmass" / m.path
+    text = target.read_text()
+    count = text.count(m.old)
+    if count != 1:
+        raise ValueError(f"mutant {m.name!r}: replacement found {count} times in {m.path}, not once")
+    target.write_text(text.replace(m.old, m.new))
+
+
+def main() -> int:
+    ok = True
+    width = max(len(m.name) for m in MUTANTS)
+    print(f"{'mutant':<{width}}  " + "  ".join(SUITES))
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = run_suites(ROOT / "src")
+        print(f"{'(unmutated)':<{width}}  " + "  ".join(f"{'FAIL' if clean[s] else 'pass':<{len(s)}}" for s in SUITES))
+        if any(clean.values()):
+            ok = False
+        for i, m in enumerate(MUTANTS):
+            src = Path(tmp) / f"m{i}"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            try:
+                mutate(src, m)
+            except ValueError as exc:
+                print(exc)
+                ok = False
+                continue
+            killed = run_suites(src)
+            cells = []
+            for s in SUITES:
+                cell = "KILL" if killed[s] else "live"
+                if s in m.kills and not killed[s]:
+                    cell, ok = "LIVE!", False  # an expected kill came back live
+                elif killed[s] and s not in m.kills:
+                    cell = "KILL+"  # a kill beyond the expectations
+                cells.append(f"{cell:<{len(s)}}")
+            print(f"{m.name:<{width}}  " + "  ".join(cells))
+    print("ok" if ok else "FAILED: see LIVE! cells, a failing unmutated suite or an unapplied mutant")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
