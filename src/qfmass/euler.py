@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
@@ -161,8 +161,10 @@ class GenusRecord:
     the class source hands them over, (a, b, c) int triples in `abc` order,
     with its local symbols (each carrying its Hasse label) at p | 2S and its
     mass.  `classes` and `aut_orders` are computed when read; only `classify`,
-    the tests and the demos read them.  Records are shared through the
-    `genus_partition` memo, so no caller may mutate one.
+    the tests and the demos read them.  `density_product` is computed when
+    first read and then kept; only `decomposition_check` reads it.  Records
+    are shared through the `genus_partition` memo, so no caller may mutate
+    one.
     """
 
     abc: tuple[QuadForm, ...]
@@ -183,6 +185,19 @@ class GenusRecord:
         a, b, c = self.abc[0]
         w = mu_order(b * b - 4 * a * c)
         return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.abc]
+
+    @cached_property
+    def density_product(self) -> tuple[int, int]:
+        """prod over the symbols of beta_gen/beta_G (`density_ratio`), as an
+        unreduced integer pair (numerator, denominator) with a positive
+        denominator: a good odd prime in T has ratio 1, so only p | 2S
+        enters."""
+        n = d = 1
+        for sym in self.symbols.values():
+            r = density_ratio(sym)
+            n *= r.numerator
+            d *= r.denominator
+        return n, d
 
 
 # Gauss's 2-adic assigned characters at an odd u, as their values at
@@ -208,6 +223,15 @@ def _two_adic_characters(S: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=1)
+def _local_split(S: int) -> dict[int, LocalSquareClass]:
+    """S's valuation and unit class, `LocalSquareClass.of(S, p)`, at p = 2
+    and at each odd p | S in increasing order: split once per S for the
+    census and both decomposition checks.  Shared, so no caller may mutate
+    it."""
+    return {p: LocalSquareClass.of(S, p) for p in [2] + [p for p, _ in factor(S) if p != 2]}
+
+
+@lru_cache(maxsize=1)
 def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     """Primitive proper classes of determinant S grouped into genera, the
     only enumeration behind the census.  The classes come from the class
@@ -227,9 +251,10 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       p | c (p would divide b too), and it splits over Z_p as
       <u1> + <S/u1> with u1 = a or c the p-unit; so its Jordan symbol is
       OddGenusSymbol(p, v, d, t_p) with (v, d) = `LocalSquareClass.of(S, p)`,
-      fixed by S.  Equal t_p thus means an equal odd symbol, read straight
-      from the key.  The bit is t_p = -1 by Euler's criterion,
-      u1^((p-1)/2) mod p != 1: one `pow` in place of a `kronecker` call.
+      fixed by S and split once per S by `_local_split`.  Equal t_p thus
+      means an equal odd symbol, read straight from the key.  The bit is
+      t_p = -1 by Euler's criterion, u1^((p-1)/2) mod p != 1: one `pow` in
+      place of a `kronecker` call.
     - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
       eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
       (b = S (mod 2), so a and c are not both even).  With n = S/4, the
@@ -243,7 +268,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     classes has mass n/(2w); `GenusRecord.aut_orders` gives |Aut| per class
     when read.
     """
-    odd = [p for p, _ in factor(S) if p != 2]
+    split = _local_split(S)
+    odd = list(split)[1:]
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
@@ -263,8 +289,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
             bit <<= 1
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
-    sq2 = LocalSquareClass.of(S, 2)
-    local = [LocalSquareClass.of(S, p) for p in odd]
+    sq2 = split[2]
+    local = [split[p] for p in odd]
     records = []
     for key, classes in groups.items():
         a, _, c = classes[0]
@@ -290,27 +316,26 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     Both sides are accumulated as unreduced integer pairs (numerator,
     denominator) from the numerators and denominators of the memoized
     `density_ratio` and `_ab_coeff` values, so no gcd is taken per multiply
-    or add.  Every denominator is positive, so cross-multiplication decides
-    `equal`; `lhs` and `rhs` are then built as one reduced `Fraction` each.
+    or add; each genus's product is `GenusRecord.density_product`, kept on
+    the shared record.  Every denominator is positive, so
+    cross-multiplication decides `equal`; `lhs` and `rhs` are then built as
+    one reduced `Fraction` each.  S's split at p | 2S comes from
+    `_local_split`, shared with the census.
     """
     constraints = dict(hasse_constraints or {})
     if any(eps not in (1, -1) for eps in constraints.values()):
         raise ValueError("eps must be +-1")
-    Sq = factor(S)
-    T = sorted({2} | {p for p, _ in Sq} | set(constraints))
-    local = {p: LocalSquareClass.of(S, p) for p in T}
+    split = _local_split(S)
+    T = sorted(set(split) | set(constraints))
+    # a constrained prime not dividing 2S is split here, which also refuses a non-prime
+    local = {p: split[p] if p in split else LocalSquareClass.of(S, p) for p in T}
 
     ln, ld = 0, 1
     for rec in genus_partition(S):
         # good primes carry label +1
         if any((rec.symbols[p].label if p in rec.symbols else 1) != want for p, want in constraints.items()):
             continue
-        # at a good odd prime in T the unique unimodular genus has ratio 1
-        n = d = 1
-        for sym in rec.symbols.values():
-            r = density_ratio(sym)
-            n *= r.numerator
-            d *= r.denominator
+        n, d = rec.density_product
         ln, ld = ln * d + n * ld, ld * d
 
     eps_infty = 1  # positive-definite binary forms

@@ -8,7 +8,8 @@ a nondegenerate binary space is <x, det_G/x> for any value x != 0 it
 takes, hence c_v = (x, -det_H/4)_v = (x, -det_H)_v, since 4 is a square.
 
 The census reads its classes from `reduced_classes`, a numpy scan over
-windows of consecutive determinants.  `enumerate_classes` is the
+windows of consecutive determinants; the total mass and the class number
+read only their count, `class_count`.  `enumerate_classes` is the
 brute-force oracle that scan and the analytic machinery are checked
 against, so it stays elementary on purpose.
 """
@@ -262,15 +263,18 @@ def _window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
 
 
 class _ClassWindow:
-    """The held window of `reduced_classes`: the forms of lo <= S < hi
-    from one `_window` scan, replaced by the readahead rule stated there."""
+    """The held window of `reduced_classes` and `class_count`: the forms of
+    lo <= S < hi from one `_window` scan, replaced by the readahead rule
+    stated at `reduced_classes`."""
 
     def __init__(self) -> None:
         self.lo = self.hi = 0
         self.a = self.b = self.c = np.empty(0, np.int64)
         self.start = [0]
 
-    def classes(self, S: int) -> list[QuadForm]:
+    def span(self, S: int) -> tuple[int, int]:
+        """The offsets i, j of S's forms a[i:j], b[i:j], c[i:j], after
+        scanning a new window when S lies outside the held one."""
         if not self.lo <= S < self.hi:
             width = self.hi - self.lo
             width = 2 * width if self.hi <= S < self.hi + width else 1
@@ -279,7 +283,10 @@ class _ClassWindow:
             self.a = self.b = self.c = np.empty(0, np.int64)
             self.a, self.b, self.c, self.start = _window(S, S + width)
             self.hi = S + width
-        i, j = self.start[S - self.lo], self.start[S - self.lo + 1]
+        return self.start[S - self.lo], self.start[S - self.lo + 1]
+
+    def classes(self, S: int) -> list[QuadForm]:
+        i, j = self.span(S)
         return list(map(QuadForm, self.a[i:j].tolist(), self.b[i:j].tolist(), self.c[i:j].tolist()))
 
 
@@ -310,6 +317,18 @@ def reduced_classes(S: int) -> list[QuadForm]:
     if S <= 0:
         raise ValueError("determinant must be positive")
     return _CLASSES.classes(S)
+
+
+def class_count(S: int) -> int:
+    """len(reduced_classes(S)), the number of proper classes of primitive
+    forms of determinant S, read as the difference of two offsets of the
+    held window: no form is built.  A determinant outside the window starts
+    a new one by the readahead rule of `reduced_classes`, so a census of S
+    followed by its count scans once."""
+    if S <= 0:
+        raise ValueError("determinant must be positive")
+    i, j = _CLASSES.span(S)
+    return j - i
 
 
 def mirror(f: QuadForm) -> QuadForm:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import factor, kronecker
 from .euler import GenusRecord, genus_partition
-from .forms import QuadForm, mu_order, reduced_classes
+from .forms import QuadForm, class_count, mu_order
 
 SCHEMA_VERSION = 1
 
@@ -319,16 +319,24 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
 
 def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
     """Exact census total mass vs the closed formula
-    kappa(S) sqrt(S)/(4 pi) * prod over p prime to S of gamma_p^-1."""
-    rep = genus_census(S)
-    census = rep.total_mass
-    k = kappa(S)
-    if rep.genera:
+    kappa(S) sqrt(S)/(4 pi) * prod over p prime to S of gamma_p^-1.
+
+    The total mass reads only the class count: every proper class of det S
+    has w = mu_order(-S) proper automorphisms, so it is h/(2w) with
+    h = `class_count(S)`, the same Fraction as `genus_census(S).total_mass`
+    with no genus, form or symbol built.  S = 1, 2 (mod 4) has no class and
+    no L-value.  The L-value comes first, so a realizable S whose L-value
+    would need more than L_TERMS_MAX terms is refused before the class
+    scan."""
+    k = kappa(S)  # refuses S <= 0
+    if S % 4 in (0, 3):
         trunc = l_value_truncated(-S, prime_bound)
+        census = Fraction(class_count(S), 2 * mu_order(-S))
         rhs = k * math.sqrt(S) / (4 * math.pi) * trunc.value
         rel = abs(rhs - float(census)) / float(census)
     else:
         # unrealizable S: both sides vanish (the 2-adic factor kills the formula)
+        census = Fraction(0)
         trunc = None
         rhs = 0.0
         rel = 0.0
@@ -360,11 +368,11 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 def class_number(D: int) -> int:
     """h(D) = number of proper classes of primitive forms with det_H = |D|,
-    for a negative fundamental discriminant D, from the census's class
-    source `reduced_classes`."""
+    for a negative fundamental discriminant D: `class_count(-D)`, read off
+    the census's class window with no form built."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a negative fundamental discriminant")
-    return len(reduced_classes(-D))
+    return class_count(-D)
 
 
 def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
@@ -396,6 +404,7 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
         # a realizable S needs an L-value: refuse it before the O(S) class scan
         _l_terms(-S, prime_bound)
     rep = genus_census(S)
+    # reads the class count off the window the census left held
     numeric = total_mass_numeric(S, prime_bound)
     # one row per class, sorted by its distinct (a, b, c) triple; each genus's
     # triples are in abc order, so its index list comes out ascending

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qfmass
-from qfmass import cli, euler, forms
+from qfmass import cli, euler, forms, globalmass
 from qfmass.cli import main
 
 
@@ -23,12 +23,19 @@ def run_cli(capsys, *argv):
 
 
 def refuse_class_scans(monkeypatch):
-    """Make every class scan, the census's source and the oracle, raise."""
+    """Make every class scan raise: the census's source, the class count
+    that the total mass and the class number read, and the oracle."""
 
     def no_scan(S):
         raise AssertionError(f"class scan of {S}")
 
-    for mod, name in ((forms, "enumerate_classes"), (forms, "reduced_classes"), (euler, "reduced_classes")):
+    for mod, name in (
+        (forms, "enumerate_classes"),
+        (forms, "reduced_classes"),
+        (euler, "reduced_classes"),
+        (forms, "class_count"),
+        (globalmass, "class_count"),
+    ):
         monkeypatch.setattr(mod, name, no_scan)
 
 
@@ -224,6 +231,7 @@ def test_verify_class_number_refuses_oversized_dmax_before_any_check(monkeypatch
         raise AssertionError(f"dirichlet_check of {D}")
 
     monkeypatch.setattr(cli, "dirichlet_check", no_check)
+    refuse_class_scans(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "class-number", "--dmax", "1000003")
     assert code == 2 and out == "" and "--dmax" in err
 

@@ -307,6 +307,58 @@ def test_genus_partition_builds_once_per_determinant():
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), S
 
 
+def test_census_and_both_checks_split_S_once(monkeypatch):
+    """S is split at 2 and at each odd p | S once, for the census and both
+    decomposition checks; only a constraint prime not dividing 2S is split
+    by the check itself."""
+    calls = []
+    split = LocalSquareClass.of
+
+    def counting(m, p):
+        calls.append((m, p))
+        return split(m, p)
+
+    monkeypatch.setattr(LocalSquareClass, "of", staticmethod(counting))
+    for S, cons in ((4620, {7: -1, 13: 1}), (99960, {3: 1, 5: -1}), (75, {2: -1, 5: -1})):
+        for _ in range(2):  # the first round fills the memos of the local coefficients
+            euler._local_split.cache_clear()
+            genus_partition.cache_clear()
+            calls.clear()
+            genus_census(S)
+            decomposition_check(S)
+            decomposition_check(S, cons)
+        primes = [2] + [p for p, _ in factor(S) if p != 2]
+        outside = [p for p in sorted(cons) if p not in primes]
+        assert calls == [(S, p) for p in primes + outside], S
+
+
+def test_density_product_is_computed_once_per_genus(monkeypatch):
+    """The census reads no density; the first decomposition check of S
+    computes each genus's product once and keeps it on the shared record."""
+    calls = []
+
+    def counting(sym):
+        calls.append(sym)
+        return density_ratio(sym)
+
+    monkeypatch.setattr(euler, "density_ratio", counting)
+    for S in (231, 1560, 4620):
+        for _ in range(2):  # the first round fills the memo of `_ab_coeff`
+            genus_partition.cache_clear()
+            calls.clear()
+            genera = genus_census(S).genera
+            assert calls == []
+            assert decomposition_check(S)["equal"], S
+            assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
+        assert len(calls) == sum(len(rec.symbols) for rec in genera), S
+        for rec in genera:
+            n, d = rec.density_product
+            expected = Fraction(1)
+            for sym in rec.symbols.values():
+                expected *= density_ratio(sym)
+            assert d > 0 and Fraction(n, d) == expected, S
+
+
 def _per_class_partition(S):
     """The census grouping with `local_symbol` run on every class at every
     p | 2S: the elementary oracle for `genus_partition`."""

@@ -14,6 +14,7 @@ from qfmass.arith import OO, factor, hilbert_symbol, legendre
 from qfmass.forms import (
     QuadForm,
     automorphism_count,
+    class_count,
     det_hessian,
     enumerate_classes,
     hasse_invariant,
@@ -311,6 +312,49 @@ def test_held_window_stays_within_the_forms_cap(monkeypatch, fresh_window):
     assert fresh_window.hi - fresh_window.lo > 1
     monkeypatch.setattr(forms_module, "WINDOW_FORMS", 1 << 12)
     walk(list(range(1, 3000)) + list(range(99000, 99400)), check=True)
+
+
+_COUNT_DETS = list(range(1, 2001)) + list(range(99000, 99040))
+
+
+@pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+def test_class_count_equals_the_oracle(fresh_window, order):
+    dets = list(_COUNT_DETS)
+    if order == "backward":
+        dets.reverse()
+    elif order == "shuffled":
+        random.Random(12).shuffle(dets)
+    widths = set()
+    for S in dets:
+        assert class_count(S) == len(enumerate_classes(S)), S
+        widths.add(fresh_window.hi - fresh_window.lo)
+    # a forward walk reads ahead; backward and random access scan one S at a time
+    assert (max(widths) >= 64) == (order == "forward")
+
+
+def test_class_count_and_the_classes_share_the_held_window(fresh_window):
+    for S in range(1000, 1200):
+        assert class_count(S) == len(reduced_classes(S)), S
+        assert fresh_window.lo <= S < fresh_window.hi
+    lo, hi, held = fresh_window.lo, fresh_window.hi, fresh_window.a
+    for S in range(lo, hi):
+        class_count(S)
+        reduced_classes(S)
+    # no window was scanned again
+    assert (fresh_window.lo, fresh_window.hi) == (lo, hi) and fresh_window.a is held
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+def test_class_count_equals_the_oracle_property(dets):
+    for S in dets:
+        assert class_count(S) == len(enumerate_classes(S)), S
+
+
+@pytest.mark.parametrize("S", [0, -1, -23])
+def test_class_count_refuses_a_nonpositive_determinant(S):
+    with pytest.raises(ValueError, match="positive"):
+        class_count(S)
 
 
 def test_enumerate_pairwise_inequivalent_and_reduced():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from qfmass import cli, globalmass
+from qfmass import cli, euler, forms, globalmass
 from qfmass.arith import factor, is_prime, kronecker, primes_below
-from qfmass.forms import QuadForm, proper_automorphism_count
+from qfmass.forms import QuadForm, enumerate_classes, proper_automorphism_count
 from qfmass.globalmass import (
     L_TERMS_MAX,
     _char_period,
@@ -332,6 +332,60 @@ def test_total_mass_sweep():
             assert res["rel_err"] <= 2e-3, S
         else:
             assert res["rhs"] == 0.0
+
+
+def _refuse(monkeypatch, targets):
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    for mod, name in targets:
+        monkeypatch.setattr(mod, name, refuse)
+
+
+# everything that builds genera or forms; `class_count` reads only offsets
+_GENERA_AND_FORMS = [
+    (globalmass, "genus_partition"),
+    (euler, "genus_partition"),
+    (forms, "reduced_classes"),
+    (euler, "reduced_classes"),
+    (forms, "QuadForm"),
+    (euler, "QuadForm"),
+    (globalmass, "QuadForm"),
+]
+
+
+def test_total_mass_and_class_number_read_only_the_class_count(monkeypatch):
+    dets = list(range(1, 301)) + list(range(99000, 99040))
+    discs = [D for D in range(-3, -301, -1) if is_fundamental_discriminant(D)]
+    expected_mass = {S: genus_census(S).total_mass for S in dets}
+    expected_h = {D: len(enumerate_classes(-D)) for D in discs}
+    _refuse(monkeypatch, _GENERA_AND_FORMS)
+    for S in dets:
+        res = total_mass_numeric(S)
+        assert res["census"] == expected_mass[S], S
+        assert (res["trunc"] is None) == (S % 4 in (1, 2)), S
+    for D in discs:
+        assert class_number(D) == expected_h[D], D
+
+
+def test_total_mass_refuses_a_long_l_value_before_any_class_scan(monkeypatch):
+    # 10^8 + 3 = 3 (mod 4) is realizable; its L-value needs 10^9 terms
+    _refuse(
+        monkeypatch,
+        _GENERA_AND_FORMS
+        + [(forms, "enumerate_classes"), (forms, "class_count"), (globalmass, "class_count"), (forms, "_window")],
+    )
+    with pytest.raises(ValueError, match="L-value needs"):
+        total_mass_numeric(10**8 + 3)
+    # an unrealizable S has no class and no L-value: census 0 with no scan
+    res = total_mass_numeric(10**8 + 1)
+    assert res["census"] == 0 and res["trunc"] is None and res["rhs"] == 0.0
+
+
+@pytest.mark.parametrize("S", [0, -3])
+def test_total_mass_refuses_a_nonpositive_determinant(S):
+    with pytest.raises(ValueError, match="positive"):
+        total_mass_numeric(S)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,13 @@ MUTANTS = (
         "QR if key & bit else NQR",
         frozenset({"decomposition"}),
     ),
+    Mutant(
+        "class count off by one",
+        "forms.py",
+        "    return j - i\n",
+        "    return j - i + 1\n",
+        frozenset({"class-number"}),
+    ),
     # no suite reads |Aut| per class: only a golden digest of `classify` does
     Mutant(
         "a = b not counted ambiguous in aut_orders",
