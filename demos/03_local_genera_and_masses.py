@@ -1,17 +1,19 @@
 """Local genera of binary forms and their exact mass data: Jordan symbols,
-the five 2-adic shapes, p-masses, and local densities.
+the five 2-adic shapes, and local densities checked against automorphism
+counts mod p^k.
 
 Run: python demos/03_local_genera_and_masses.py
 """
 from qfmass import (
     LocalSquareClass,
     QuadForm,
+    aut_density_mod_pk,
     count_SO_mod_p,
     enumerate_local_genera,
     genus_symbol_2,
     jordan_split_odd,
     local_density_inverse,
-    p_mass,
+    representative_form,
     same_genus,
 )
 
@@ -35,14 +37,13 @@ for nu in range(0, 7):
     summary = ", ".join(f"{sym.shape} label={sym.label:+d}" for sym in rows) or "none"
     print(f"  nu = {nu}: {len(rows)} genera  [{summary}]")
 
-print("\np-masses are exact half-powers r * q^(k/2); densities are rational:")
+print("\nInverse local densities are rational; alpha_2 * 1/beta = 4, where alpha_2")
+print("counts the X mod 2^k with f o X = f (mod 2^k), divided by 2^k:")
 for nu in (0, 2, 3, 5):
     for sym in enumerate_local_genera(2, LocalSquareClass(2, nu, 3)):
-        m = p_mass(sym)
-        print(
-            f"  nu={nu}: p-mass = {m.coeff} * 2^({m.half_exponent}/2)"
-            f"   1/beta = {local_density_inverse(sym)}"
-        )
+        f = representative_form(sym)
+        alpha = aut_density_mod_pk(f, 2, nu + 3)
+        print(f"  nu={nu}: f = {f.abc}, 1/beta = {local_density_inverse(sym)}, alpha_2 = {alpha}")
         break
 
 print("\nAt a good odd prime, 1/beta = p / |SO(F_p)| (Hensel):")

@@ -62,13 +62,12 @@ from .localgenus import (
     same_genus,
 )
 from .mass import (
-    HalfPower,
+    aut_density_mod_pk,
     count_SO_mod_p,
     density_ratio,
     generic_density_inverse,
     genus_mass_ratio,
     local_density_inverse,
-    p_mass,
 )
 
 __version__ = "0.1.0"

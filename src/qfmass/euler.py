@@ -2,8 +2,8 @@
 closed-form rational functions in X = q^(-s), and the exact global
 decomposition identity for the total non-archimedean mass.
 
-Ground truth is the enumeration pipeline (local genera -> p-masses ->
-density ratios); the closed forms are derived from it, and at p = 2 the
+Ground truth is the enumeration pipeline (local genera -> local densities
+-> density ratios); the closed forms are derived from it, and at p = 2 the
 printed forms from the source tables are kept alongside as a comparison
 target with a documented discrepancy report.
 """

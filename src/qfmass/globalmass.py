@@ -137,11 +137,6 @@ def _char_table(D: int) -> np.ndarray:
     return table
 
 
-def _period(D: int) -> np.ndarray:
-    """chi_D(1), ..., chi_D(P): the character table rolled to start at 1."""
-    return np.roll(_char_table(D), -1)
-
-
 @dataclass
 class LTruncation:
     """Truncated evaluation of L(1, (D|.)) = prod (1 - (D|p)/p)^-1.
@@ -169,7 +164,7 @@ class LTruncation:
     more.  All of it, and the rounding of e1 + e2 itself, lies within
     e2 = gamma_{M+2} (ln M + 2).
 
-    One period.  Since T has period P, T(M) = T((M - 1) mod P + 1), and
+    One period.  Since T has period P and T(0) = 0, T(M) = T(M mod P), and
     T_bar, B and T(M) are all read from one period of chi.  The value needs
     two integers of the period: T(M), a partial sum of chi, and
     sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), an exact
@@ -200,7 +195,9 @@ class LTruncation:
 
     @property
     def error_estimate(self) -> float:
-        T = np.cumsum(_period(self.D), dtype=np.int64)  # T(1), ..., T(P)
+        table = _char_table(self.D)
+        T = np.zeros(len(table), dtype=np.int64)  # T(1), ..., T(P); T(P) = 0
+        np.cumsum(table[1:], dtype=np.int64, out=T[:-1])
         return _error_bound(T, self.prime_bound)
 
 
@@ -297,22 +294,25 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     sums.
     """
     M = _l_terms(D, prime_bound)
-    period = _period(D)
-    P = len(period)
-    # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P
-    assert int(period.sum(dtype=np.int64)) == 0, D
+    table = _char_table(D)
+    P = len(table)
+    # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P; and
+    # table[0] = chi_D(P) = 0, as gcd(D, P) > 1
+    assert int(table.sum(dtype=np.int64)) == 0, D
     # sum T = -sum r chi(r) (see `LTruncation`): numpy's integer dot, exact
     # and not BLAS, so the same at any thread count
-    T_mean = -int(np.dot(period.astype(np.int64), np.arange(1, P + 1, dtype=np.int64))) / P
-    T_M = int(period[: (M - 1) % P + 1].sum(dtype=np.int64))
+    T_mean = -int(np.dot(table[1:].astype(np.int64), np.arange(1, P, dtype=np.int64))) / P
+    T_M = int(table[1 : M % P + 1].sum(dtype=np.int64))
     # w_r: K rows of L terms, then the tail, then the L sums folded into P
     inv = _M_TERMS.view(M)
     L = P * -(-_ROW_TERMS_MIN // P)
     K = M // L
     wl = inv[: K * L].reshape(K, L).sum(0)
     wl[: M - K * L] += inv[K * L :]
-    w = wl.reshape(-1, P).sum(0)
-    partial = float(np.multiply(w, period, out=w).sum())
+    w = wl.reshape(-1, P).sum(0)  # w[j] weighs chi(j + 1)
+    np.multiply(w[:-1], table[1:], out=w[:-1])
+    w[-1] = 0.0  # chi(P) = table[0] = 0
+    partial = float(w.sum())
     abel = partial + (T_mean - T_M) / (M + 1)
     return LTruncation(D=D, prime_bound=M, value=abel)
 
@@ -400,16 +400,13 @@ def _format_float(x: float | None) -> float | None:
 
 
 def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
-    if S > 0 and S % 4 in (0, 3):
-        # a realizable S needs an L-value: refuse it before the O(S) class scan
-        _l_terms(-S, prime_bound)
-    rep = genus_census(S)
-    # reads the class count off the window the census left held
+    # refuses S <= 0, and an L-value too long before the O(S) class scan
     numeric = total_mass_numeric(S, prime_bound)
+    records = genus_partition(S)
     # one row per class, sorted by its distinct (a, b, c) triple; each genus's
     # triples are in abc order, so its index list comes out ascending
-    rows = sorted((abc, n, i) for i, g in enumerate(rep.genera) for abc, n in zip(g.abc, g.aut_orders))
-    genera: list[list[int]] = [[] for _ in rep.genera]
+    rows = sorted((abc, n, i) for i, g in enumerate(records) for abc, n in zip(g.abc, g.aut_orders))
+    genera: list[list[int]] = [[] for _ in records]
     for k, (_, _, i) in enumerate(rows):
         genera[i].append(k)
     return {
@@ -418,7 +415,7 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
         "classes": [list(abc) for abc, _, _ in rows],
         "aut": [n for _, n, _ in rows],
         "genera": genera,
-        "mass_exact": str(rep.total_mass),
+        "mass_exact": str(numeric["census"]),
         "kappa": numeric["kappa"],
         "rhs_numeric": _format_float(numeric["rhs"]),
         "rel_err": _format_float(numeric["rel_err"]),

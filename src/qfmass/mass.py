@@ -1,85 +1,54 @@
-"""p-masses, local densities, generic local densities, and exact mass
-comparisons between genera of binary forms.
+"""Local densities, generic local densities, and exact mass comparisons
+between genera of binary forms.
 
-p-masses are kept as exact values r * q^(k/2) so the sqrt-q factors never
-become floats; converting to a local density must cancel every half power,
-and a live half exponent is asserted away as a table error.
+The inverse local density 1/beta_p of a rank-2 local genus is a closed row
+per valuation (`local_density_inverse`), exact and rational.  The rows are
+the rank-2 p-mass table m_p converted by beta^-1 = 2 m_p q^(-3 nu/2 + 3
+ord_p 2), where the half powers of q always cancel; the tests keep that
+table and that conversion as data.  Each row is pinned on its own by the
+mod-p^k automorphism count `aut_density_mod_pk`, an elementary oracle kept
+out of every hot path, as `count_SO_mod_p` is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import gamma_factor
+import numpy as np
+
+from .arith import gamma_factor, is_prime
 from .forms import QuadForm, det_hessian
-from .localgenus import LocalGenusSymbol, OddGenusSymbol
-
-
-@dataclass(frozen=True)
-class HalfPower:
-    """Exact value coeff * p^(half_exponent / 2)."""
-
-    p: int
-    coeff: Fraction
-    half_exponent: int
-
-    def times_power(self, half_exponent: int) -> "HalfPower":
-        return HalfPower(self.p, self.coeff, self.half_exponent + half_exponent)
-
-    def scale(self, r) -> "HalfPower":
-        return HalfPower(self.p, self.coeff * Fraction(r), self.half_exponent)
-
-    def is_rational(self) -> bool:
-        return self.half_exponent % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"live half exponent {self.half_exponent} at p={self.p}")
-        return self.coeff * Fraction(self.p) ** (self.half_exponent // 2)
-
-
-def p_mass(g: LocalGenusSymbol) -> HalfPower:
-    """The Conway-Sloane style p-mass of a rank-2 local genus, exactly as in
-    the rank-2 mass table (odd p and the five 2-adic rows)."""
-    if isinstance(g, OddGenusSymbol):
-        p, nu = g.p, g.nu
-        if nu == 0:
-            return HalfPower(p, Fraction(1, 2) / gamma_factor(g.unit_rep(), p), 0)
-        return HalfPower(p, Fraction(1, 4), nu)
-    nu, u = g.nu, g.unit
-    if nu == 0:
-        return HalfPower(2, Fraction(1, 4) / gamma_factor(u, 2), 0)
-    if nu == 2:
-        return HalfPower(2, Fraction(1, 8) if u % 4 == 1 else Fraction(1, 4), 0)
-    if nu == 3:
-        return HalfPower(2, Fraction(1), -5)
-    if nu == 4:
-        return HalfPower(2, Fraction(1, 4), 0)
-    if nu >= 5:
-        return HalfPower(2, Fraction(1, 32), nu)
-    raise ValueError(f"no rank-2 mass row for nu = {nu} at 2")
+from .localgenus import LocalGenusSymbol
 
 
 @lru_cache(maxsize=None)
 def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
-    """Inverse local density 1/beta_p of the genus, via the conversion
-    beta^-1 = 2 * m_p * q^(-3 nu / 2 + 3 ord_p(2)).
+    """Inverse local density 1/beta_p of a rank-2 local genus of valuation
+    nu = ord_p(det_H) and determinant unit class u:
 
-    At p = 2 the even-unimodular row (nu = 0) carries the generic-density
-    convention's extra division by 2.  That placement is internally
-    consistent but not independently checked: the Siegel ratios are all 1
-    and the decomposition check reads `density_ratio` on both sides.
+    - odd p: 1/gamma_p(u) at nu = 0, and p^-nu / 2 at nu >= 1;
+    - p = 2: 2/gamma_2(u) at nu = 0 (the generic-density convention at 2);
+      at nu = 2, 1/4 when u = 1 (mod 4), else 1/2; 1/8 at nu = 3, 1/16 at
+      nu = 4, and 2^(-nu-1) at nu >= 5.
+
+    What pins each row is the automorphism count: for any form f of the
+    genus, alpha_p(f) * 1/beta_p = 4 at p = 2 and 2 at odd p, where
+    alpha_p(f) = `aut_density_mod_pk(f, p, k)` for k large enough.
     Memoized per symbol: symbols are frozen and the value reads only their
     fields.
     """
-    m = p_mass(g)
-    p, nu = m.p, g.nu
-    conv = m.scale(2).times_power(-3 * nu + (6 if p == 2 else 0))
-    out = conv.as_fraction()
-    if p == 2 and nu == 0:
-        out /= 2
-    return out
+    p, nu = g.p, g.nu
+    if p != 2:
+        return 1 / gamma_factor(g.unit_rep(), p) if nu == 0 else Fraction(1, 2 * p**nu)
+    if nu == 0:
+        return 2 / gamma_factor(g.unit, 2)
+    if nu == 2:
+        return Fraction(1, 4) if g.unit % 4 == 1 else Fraction(1, 2)
+    if nu in (3, 4):
+        return Fraction(1, 2**nu)
+    if nu >= 5:
+        return Fraction(1, 2 ** (nu + 1))
+    raise ValueError(f"no rank-2 density row for nu = {nu} at 2")
 
 
 def generic_density_inverse(p: int, u) -> Fraction:
@@ -121,6 +90,53 @@ def count_SO_mod_p(f: QuadForm, p: int) -> int:
                     if b2 == b % p:
                         count += 1
     return count
+
+
+# Most vectors (p^2k) `aut_density_mod_pk` scans: one int64 array of 32 MiB.
+AUT_SCAN_MAX = 2**22
+
+# Most (automorphism column, vector) pairs tested at once.
+_AUT_PAIR_BLOCK = 2**20
+
+
+def aut_density_mod_pk(f: QuadForm, p: int, k: int) -> Fraction:
+    """alpha_p(f, k) = p^-k #{X in M_2(Z/p^k) : f o X = f (mod p^k)}, the
+    density of f representing itself, by brute force (Conway-Sloane,
+    Low-dimensional lattices IV: the mass formula).  For k large enough it
+    no longer depends on k, and alpha_p(f) * `local_density_inverse` is 4 at
+    p = 2 and 2 at odd p.
+
+    X has columns v, w with f(v) = a, f(w) = c and B(v, w) = b (mod q = p^k),
+    where B(v, w) = v^T H w, H = [[2a, b], [b, 2c]] the Hessian.  All q^2
+    values f(v) are computed at once; then B(v, w) = (H v) . w is tested on
+    every pair, with the v of equal H v (mod q) counted together.  Refuses
+    k < 1 and p^2k > AUT_SCAN_MAX."""
+    if not is_prime(p):
+        raise ValueError(f"aut_density_mod_pk needs a prime, not {p}")
+    if k < 1:
+        raise ValueError("aut_density_mod_pk needs k >= 1")
+    if p ** (2 * k) > AUT_SCAN_MAX:
+        raise ValueError(f"aut_density_mod_pk scans p^2k vectors, at most {AUT_SCAN_MAX}")
+    q = p**k
+    a, b, c = (x % q for x in f.abc)
+    x = np.arange(q, dtype=np.int64)
+    values = np.outer(x, x)  # entries below q^3 <= 2^33
+    values *= b
+    values += (a * x * x)[:, None]
+    values += c * x * x
+    values %= q
+    v0, v1 = np.nonzero(values == a)
+    w0, w1 = np.nonzero(values == c)
+    del values
+    # H v (mod q) as one int key per v, each distinct key with its multiplicity
+    keys, mult = np.unique((2 * a * v0 + b * v1) % q * q + (b * v0 + 2 * c * v1) % q, return_counts=True)
+    h0, h1 = np.divmod(keys, q)
+    count = 0
+    step = max(1, _AUT_PAIR_BLOCK // len(w0))  # w = (0, 1) is one of them
+    for s in range(0, len(keys), step):
+        hits = (h0[s : s + step, None] * w0 + h1[s : s + step, None] * w1) % q == b
+        count += int(np.count_nonzero(hits, axis=1) @ mult[s : s + step])
+    return Fraction(count, q)
 
 
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:

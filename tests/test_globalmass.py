@@ -224,6 +224,35 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
     assert len(globalmass._M_TERMS.inv) == 17 * globalmass._M_TERMS_STEP
 
 
+@pytest.mark.parametrize(
+    "Ds",
+    [
+        pytest.param([D for D in range(-3, -2001, -1) if D % 4 != 3], id="-2000..-3"),
+        pytest.param((-7996, -99996, -104999), id="large"),
+    ],
+)
+def test_l_value_is_bit_identical_to_the_rolled_period_kernel(Ds):
+    # the kernel reads the unrolled table, whose entry 0 is chi_D(P) = 0; the
+    # same sums over the period chi_D(1), ..., chi_D(P) rolled into a copy
+    # must give the same value, bit for bit, and the same error bound
+    for D in Ds:
+        M = _l_terms(D, 10**5)
+        period = np.roll(_char_table(D), -1)
+        P = len(period)
+        T_mean = -int(np.dot(period.astype(np.int64), np.arange(1, P + 1, dtype=np.int64))) / P
+        T_M = int(period[: (M - 1) % P + 1].sum(dtype=np.int64))
+        inv = 1.0 / np.arange(1, M + 1)
+        L = P * -(-globalmass._ROW_TERMS_MIN // P)
+        K = M // L
+        wl = inv[: K * L].reshape(K, L).sum(0)
+        wl[: M - K * L] += inv[K * L :]
+        w = wl.reshape(-1, P).sum(0)
+        value = float((w * period).sum()) + (T_mean - T_M) / (M + 1)
+        trunc = l_value_truncated(D, 10**5)
+        assert trunc.value.hex() == value.hex(), D
+        assert trunc.error_estimate == _error_bound(np.cumsum(period, dtype=np.int64), M), D
+
+
 def test_l_error_bound_is_computed_when_read(monkeypatch):
     calls = []
 

@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 
 from qfmass.arith import NQR, QR, LocalSquareClass, factor, gamma_factor
+from qfmass.euler import genus_partition
 from qfmass.forms import QuadForm, det_hessian
 from qfmass.globalmass import genus_census
-from qfmass.localgenus import enumerate_local_genera, jordan_split_odd, local_symbol
+from qfmass.localgenus import enumerate_local_genera, jordan_split_odd, local_symbol, representative_form
 from qfmass.mass import (
-    HalfPower,
+    AUT_SCAN_MAX,
+    aut_density_mod_pk,
     count_SO_mod_p,
     density_ratio,
     generic_density_inverse,
     genus_mass_ratio,
     local_density_inverse,
-    p_mass,
 )
 
 from .test_forms import random_posdef
@@ -26,38 +27,60 @@ def _sym(p, nu, u, pick=0):
     return enumerate_local_genera(p, LocalSquareClass(p, nu, u))[pick]
 
 
+def _local_genera(p, nu_max):
+    """Every local genus at p with nu <= nu_max, over all unit classes."""
+    for nu in range(nu_max + 1):
+        for u in (1, 3, 5, 7) if p == 2 else (QR, NQR):
+            yield from enumerate_local_genera(p, LocalSquareClass(p, nu, u))
+
+
 # ---------------------------------------------------------------------------
-# p-mass table rows
+# the paper's rank-2 p-mass table, kept as data: the closed density rows are
+# this table converted by beta^-1 = 2 m_p q^(-3 nu/2 + 3 ord_p(2))
+
+
+def _paper_p_mass(sym) -> tuple[Fraction, int]:
+    """(r, k) of the p-mass m_p = r * p^(k/2) of a rank-2 local genus, as in
+    the rank-2 mass table: odd p and the five 2-adic rows."""
+    p, nu = sym.p, sym.nu
+    if p != 2:
+        if nu == 0:
+            return Fraction(1, 2) / gamma_factor(sym.unit_rep(), p), 0
+        return Fraction(1, 4), nu
+    if nu == 0:
+        return Fraction(1, 4) / gamma_factor(sym.unit, 2), 0
+    if nu == 2:
+        return (Fraction(1, 8) if sym.unit % 4 == 1 else Fraction(1, 4)), 0
+    if nu == 3:
+        return Fraction(1), -5
+    if nu == 4:
+        return Fraction(1, 4), 0
+    assert nu >= 5, sym
+    return Fraction(1, 32), nu
+
+
+def _density_inverse_from_p_mass(sym) -> Fraction:
+    r, k = _paper_p_mass(sym)
+    p, nu = sym.p, sym.nu
+    half = k - 3 * nu + (6 if p == 2 else 0)
+    assert half % 2 == 0, sym  # every half power of p cancels
+    out = 2 * r * Fraction(p) ** (half // 2)
+    # the generic-density convention at 2 halves the even-unimodular row
+    return out / 2 if p == 2 and nu == 0 else out
 
 
 def test_p_mass_odd_rows():
-    for p in (3, 5, 7):
-        for u in (QR, NQR):
-            m = p_mass(_sym(p, 0, u))
-            g = gamma_factor(_sym(p, 0, u).unit_rep(), p)
-            assert m == HalfPower(p, Fraction(1, 2) / g, 0)
-            assert p_mass(_sym(p, 1, u)) == HalfPower(p, Fraction(1, 4), 1)
-            assert p_mass(_sym(p, 2, u)).as_fraction() == Fraction(p, 4)
+    syms = [sym for p in (3, 5, 7, 11) for sym in _local_genera(p, 12)]
+    assert len(syms) == 200
+    for sym in syms:
+        assert local_density_inverse(sym) == _density_inverse_from_p_mass(sym), sym
 
 
 def test_p_mass_two_adic_rows():
-    assert p_mass(_sym(2, 0, 3)) == HalfPower(2, Fraction(1, 4) / gamma_factor(3, 2), 0)
-    assert p_mass(_sym(2, 2, 1)).as_fraction() == Fraction(1, 8)
-    assert p_mass(_sym(2, 2, 3)).as_fraction() == Fraction(1, 4)
-    m = p_mass(_sym(2, 3, 1))
-    assert m == HalfPower(2, Fraction(1), -5) and not m.is_rational()
-    assert p_mass(_sym(2, 4, 1)).as_fraction() == Fraction(1, 4)
-    assert p_mass(_sym(2, 6, 1)) == HalfPower(2, Fraction(1, 32), 6)
-
-
-def test_half_power_arithmetic():
-    x = HalfPower(2, Fraction(3), 1)
-    y = x.scale(Fraction(1, 2)).times_power(3)
-    assert y == HalfPower(2, Fraction(3, 2), 4)
-    assert y.is_rational() and y.as_fraction() == Fraction(3, 2) * 4
-    assert not x.is_rational()
-    with pytest.raises(ValueError):
-        x.as_fraction()
+    syms = list(_local_genera(2, 12))
+    assert len(syms) == 152
+    for sym in syms:
+        assert local_density_inverse(sym) == _density_inverse_from_p_mass(sym), sym
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +94,7 @@ def test_local_density_inverse_examples():
             assert local_density_inverse(sym) == 1 / gamma_factor(sym.unit_rep(), p)
             assert local_density_inverse(_sym(p, 1, u)) == Fraction(1, 2 * p)
     assert local_density_inverse(_sym(2, 3, 1)) == Fraction(1, 8)
-    # unimodular 2-adic row: the conversion carries the extra division by 2
+    # even-unimodular 2-adic row: 2/gamma_2(u), the generic-density convention at 2
     assert local_density_inverse(_sym(2, 0, 3)) == 2 / gamma_factor(3, 2)
 
 
@@ -122,6 +145,69 @@ def test_hensel_consistency():
             assert count in (p - 1, p + 1)
             sym = jordan_split_odd(f, p)
             assert local_density_inverse(sym) == Fraction(p, count)
+            # O(F_p) is SO(F_p) and one reflection coset
+            assert aut_density_mod_pk(f, p, 1) == Fraction(2 * count, p)
+
+
+# ---------------------------------------------------------------------------
+# the mod-p^k automorphism count pins each density row on its own
+
+
+def _stable_alpha(f, p, nu):
+    """alpha_p(f, k) at k = nu + 3 at p = 2 and nu + 2 at odd p, asserted
+    equal to its value at k - 1."""
+    k = nu + (3 if p == 2 else 2)
+    alpha = aut_density_mod_pk(f, p, k)
+    assert aut_density_mod_pk(f, p, k - 1) == alpha, (f, p, k)
+    return alpha
+
+
+def test_aut_count_pins_every_local_density_row():
+    syms = [sym for p, nu_max in ((2, 6), (3, 3), (5, 2), (7, 1)) for sym in _local_genera(p, nu_max)]
+    assert len(syms) == 86
+    for sym in syms:
+        f = representative_form(sym)
+        assert local_symbol(f, sym.p) == sym
+        alpha = _stable_alpha(f, sym.p, sym.nu)
+        assert alpha * local_density_inverse(sym) == (4 if sym.p == 2 else 2), sym
+
+
+def test_aut_count_pins_the_census_densities():
+    """The first class of each census genus of S < 400, at each p | 2S with
+    p^2k <= 2^20: p = 2 with nu <= 7, p = 3 with nu <= 4, p = 5 with nu <= 2
+    and p = 7 with nu = 1.  The count reads only the coefficients mod p^k, so
+    it is made once per residue."""
+    alphas = {}
+    checked = set()
+    for S in range(3, 400):
+        for rec in genus_partition(S):
+            f = rec.abc[0]
+            for p, sym in rec.symbols.items():
+                k = sym.nu + (3 if p == 2 else 2)
+                if p ** (2 * k) > 2**20:
+                    continue
+                key = (p, tuple(x % p**k for x in f))
+                if key not in alphas:
+                    alphas[key] = _stable_alpha(f, p, sym.nu)
+                assert alphas[key] * local_density_inverse(sym) == (4 if p == 2 else 2), (S, f, p)
+                checked.add((p, sym.nu))
+    assert checked == {(2, nu) for nu in (0, 2, 3, 4, 5, 6, 7)} | {(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1)}
+
+
+def test_aut_count_examples_and_refusals():
+    # x^2 + y^2 at p = 3 is unimodular with 1/beta = 1/gamma_3(1) = 3/4
+    assert aut_density_mod_pk(QuadForm(1, 0, 1), 3, 1) == Fraction(8, 3)
+    assert aut_density_mod_pk(QuadForm(1, 0, 1), 3, 3) == Fraction(8, 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            aut_density_mod_pk(QuadForm(1, 0, 1), 3, k)
+    with pytest.raises(ValueError):
+        aut_density_mod_pk(QuadForm(1, 0, 1), 4, 2)
+    k = 1
+    while 3 ** (2 * k) <= AUT_SCAN_MAX:
+        k += 1
+    with pytest.raises(ValueError):
+        aut_density_mod_pk(QuadForm(1, 0, 1), 3, k)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +253,7 @@ def test_density_ratio_table_values():
 def test_density_memos_return_the_unmemoized_values():
     """Equal symbols must have equal densities: once every symbol below has
     passed through the memos, each memoized value equals a fresh one."""
-    symbols = []
-    for p in (2, 3, 5, 7, 11):
-        for nu in range(13):
-            for u in (1, 3, 5, 7) if p == 2 else (QR, NQR):
-                symbols += enumerate_local_genera(p, LocalSquareClass(p, nu, u))
+    symbols = [sym for p in (2, 3, 5, 7, 11) for sym in _local_genera(p, 12)]
     for S in range(1, 501):
         for g in genus_census(S).genera:
             symbols += g.symbols.values()

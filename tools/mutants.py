@@ -48,15 +48,22 @@ MUTANTS = (
     Mutant(
         "2-adic nu = 0 density doubled",
         "mass.py",
-        "        out /= 2\n",
-        "        out /= 4\n",
+        "        return 2 / gamma_factor(g.unit, 2)\n",
+        "        return 1 / gamma_factor(g.unit, 2)\n",
         frozenset({"euler-closed-forms"}),
     ),
     Mutant(
         "odd nu = 2 density times p",
         "mass.py",
-        "    out = conv.as_fraction()\n",
-        "    out = conv.as_fraction() / (p if p != 2 and nu == 2 else 1)\n",
+        "Fraction(1, 2 * p**nu)",
+        "Fraction(1, 2 * p**nu * (p if nu == 2 else 1))",
+        frozenset({"euler-closed-forms"}),
+    ),
+    Mutant(
+        "2-adic nu >= 5 density halved",
+        "mass.py",
+        "        return Fraction(1, 2 ** (nu + 1))\n",
+        "        return Fraction(1, 2**nu)\n",
         frozenset({"euler-closed-forms"}),
     ),
     Mutant(
