@@ -7,6 +7,8 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import random
@@ -27,9 +29,9 @@ from .globalmass import (
     _l_terms,
     dirichlet_check,
     is_fundamental_discriminant,
-    report_csv_rows,
     report_json_obj,
-    report_json_str,
+    write_report_csv,
+    write_report_json,
 )
 from .mass import genus_mass_ratio
 
@@ -39,12 +41,14 @@ def _fail_usage(msg: str) -> int:
     return 2
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The stream a command writes to: the file `out_path`, else stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _parse_range(args) -> range | None:
@@ -72,11 +76,14 @@ def cmd_classify(args) -> int:
     top = max((S for S in dets[-4:] if S % 4 in (0, 3)), default=None)
     if top is not None:
         _l_terms(-top, args.prime_bound)
-    objs = [report_json_obj(S, args.prime_bound) for S in dets]
-    if args.format == "json":
-        _emit(report_json_str(objs), args.out)
-    else:
-        _emit(report_csv_rows(objs), args.out)
+    # one report is held at a time: each is written as soon as it is built.
+    # The first is built before the output opens, so an S refused there (past
+    # the factorization range, below every L-value check) writes nothing.
+    objs = (report_json_obj(S, args.prime_bound) for S in dets)
+    objs = itertools.chain([next(objs)], objs)
+    write = write_report_json if args.format == "json" else write_report_csv
+    with _output(args.out) as out:
+        write(objs, out)
     return 0
 
 
@@ -115,7 +122,8 @@ def cmd_euler(args) -> int:
         obj["table_matches"] = rep["table_matches"]
         obj["printed_matches"] = rep["printed_matches"]
         obj["printed_mismatch_at"] = rep["printed_mismatch_at"]
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 
 

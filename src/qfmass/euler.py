@@ -200,28 +200,6 @@ class GenusRecord:
         return n, d
 
 
-# Gauss's 2-adic assigned characters at an odd u, as their values at
-# u = 1, 3, 5, 7 (mod 8), indexed by (u >> 1) & 3
-_DELTA = (1, -1, 1, -1)  # (-1)^((u-1)/2)
-_EPSILON = (1, -1, -1, 1)  # (-1)^((u^2-1)/8)
-_DELTA_EPSILON = (1, 1, -1, -1)
-
-
-def _two_adic_characters(S: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The assigned 2-adic characters of discriminant -S, S = 0, 3 (mod 4),
-    by S mod 32 with n = S/4 (Cox, Primes of the form x^2 + ny^2, §3)."""
-    n = S // 4
-    if S % 4 == 3 or n % 4 == 3:
-        return ()
-    if n % 4 == 1 or n % 8 == 4:
-        return (_DELTA,)
-    if n % 8 == 2:
-        return (_DELTA_EPSILON,)
-    if n % 8 == 6:
-        return (_EPSILON,)
-    return (_DELTA, _EPSILON)  # n = 0 (mod 8)
-
-
 @lru_cache(maxsize=1)
 def _local_split(S: int) -> dict[int, LocalSquareClass]:
     """S's valuation and unit class, `LocalSquareClass.of(S, p)`, at p = 2
@@ -239,14 +217,19 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     within and across genera.  Memoized for the latest S: the census and
     both decomposition checks of one S share one build.
 
-    Classes are grouped by Gauss's assigned characters (Cox, Primes of the
-    form x^2 + ny^2, §3), read off plain ints: the census builds no form,
-    automorphism order or symbol per class.  The key of a class is one
-    int: the bits of its 2-adic characters that are -1, then one bit per
-    odd p | S, set when its character at p is -1.  The characters read
-    values the form represents.
+    A genus is its tuple of local symbols at p | 2S, and classes are grouped
+    by that tuple, read off plain ints: the census builds no form,
+    automorphism order or symbol per class.  The key of a class is one int:
+    two bits for its 2-adic symbol, then one bit per odd p | S, set when its
+    tag at p is NQR.  Both parts read values the form represents.
 
-    - At an odd p | S the character is t_p = (a|p), or (c|p) when p | a.
+    - At 2 the symbol is `two_adic_symbol` at ord_2(S), the unit of S mod 8
+      and the odd value u1 = a, or c when a is even (b = S (mod 2), so a and
+      c are not both even), and it reads only u1 mod 8.  So the four symbols
+      at u1 = 1, 3, 5, 7 are built once per S, and the two key bits of a
+      class are the index, among the distinct ones in first-seen order, of
+      the symbol at (u1 >> 1) & 3.
+    - At an odd p | S the tag is t_p = (a|p), or (c|p) when p | a.
       A primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and
       p | c (p would divide b too), and it splits over Z_p as
       <u1> + <S/u1> with u1 = a or c the p-unit; so its Jordan symbol is
@@ -255,14 +238,6 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       means an equal odd symbol, read straight from the key.  The bit is
       t_p = -1 by Euler's criterion, u1^((p-1)/2) mod p != 1: one `pow` in
       place of a `kronecker` call.
-    - At 2 the key reads delta(u) = (-1)^((u-1)/2) and
-      eps(u) = (-1)^((u^2-1)/8) at the odd value u = a, or c when a is even
-      (b = S (mod 2), so a and c are not both even).  With n = S/4, the
-      characters are none for S = 3 (mod 4) or n = 3 (mod 4); delta for
-      n = 1 (mod 4) or n = 4 (mod 8); delta*eps for n = 2 (mod 8); eps for
-      n = 6 (mod 8); delta and eps for n = 0 (mod 8).  The 2-adic symbol
-      of a genus is `two_adic_symbol` at ord_2(S), the unit of S mod 8 and
-      u mod 8 of its first class, memoized on that triple.
 
     Every class has w = mu_order(-S) proper automorphisms, so a genus of n
     classes has mass n/(2w); `GenusRecord.aut_orders` gives |Aut| per class
@@ -273,29 +248,27 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
-    chars = _two_adic_characters(S)
-    # bit j of key_2[(u >> 1) & 3] is set when the j-th character is -1 at u
-    key_2 = [sum(1 << j for j, ch in enumerate(chars) if ch[i] == -1) for i in range(4)]
-    odd_bit = 1 << len(chars)
+    sq2 = split[2]
+    syms = [two_adic_symbol(sq2.val, sq2.unit, u1) for u1 in (1, 3, 5, 7)]
+    distinct = list(dict.fromkeys(syms))
+    key_2 = [distinct.index(sym) for sym in syms]
 
     groups: dict[int, list[QuadForm]] = {}
     for f in reduced_classes(S):
         a, _, c = f
         key = key_2[((a if a & 1 else c) >> 1) & 3]
-        bit = odd_bit
+        bit = 1 << 2
         for p in odd:
             if pow(a if a % p else c, p >> 1, p) != 1:
                 key |= bit
             bit <<= 1
         groups.setdefault(key, []).append(f)
     # insertion order is the order of each genus's first class
-    sq2 = split[2]
     local = [split[p] for p in odd]
     records = []
     for key, classes in groups.items():
-        a, _, c = classes[0]
-        symbols: dict[int, LocalGenusSymbol] = {2: two_adic_symbol(sq2.val, sq2.unit, (a if a & 1 else c) & 7)}
-        bit = odd_bit
+        symbols: dict[int, LocalGenusSymbol] = {2: distinct[key & 3]}
+        bit = 1 << 2
         for p, d in zip(odd, local):
             symbols[p] = OddGenusSymbol(p, d.val, d.unit, NQR if key & bit else QR)
             bit <<= 1

@@ -10,11 +10,12 @@ one the closed formula kappa(S) sqrt(S)/(4 pi) L(1, chi) reproduces.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -425,10 +426,10 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
 CSV_FIELDS = ["det", "classes", "aut", "genera", "mass_exact", "kappa", "rhs_numeric", "rel_err"]
 
 
-def report_csv_rows(objs: list[dict]) -> str:
-    """Flat CSV with the JSON fields; list-valued cells are ;-joined."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+def write_report_csv(objs: Iterable[dict], out: TextIO) -> None:
+    """Flat CSV with the JSON fields, one row written per object as it comes;
+    list-valued cells are ;-joined."""
+    writer = csv.DictWriter(out, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for obj in objs:
         writer.writerow(
@@ -443,8 +444,14 @@ def report_csv_rows(objs: list[dict]) -> str:
                 "rel_err": f"{obj['rel_err']:.12g}" if obj["rel_err"] is not None else "",
             }
         )
-    return buf.getvalue()
 
 
-def report_json_str(objs: list[dict]) -> str:
-    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+def write_report_json(objs: Iterable[dict], out: TextIO) -> None:
+    """The bytes of `json.dumps(list(objs), indent=2, sort_keys=True)` and a
+    newline, with each object written as it comes: a range of S holds one
+    report at a time."""
+    sep = "[\n"
+    for obj in objs:
+        out.write(sep + json.dumps([obj], indent=2, sort_keys=True)[2:-2])
+        sep = ",\n"
+    out.write("[]\n" if sep == "[\n" else "\n]\n")

@@ -137,8 +137,13 @@ def two_adic_symbol(nu: int, unit: int, u1: int) -> TwoAdicGenusSymbol:
     a is even: these three residues are all the symbol reads.  The label is
     the Hasse invariant (u1, -det_H)_2, since any value the form takes gives
     it, and the Hilbert symbol of a unit u1 reads only u1 and the class of
-    -det_H mod squares.  Memoized: a census adds at most 4 entries per
-    (nu, unit), one per odd u1 (mod 8)."""
+    -det_H mod squares.
+
+    The only 2-adic genus rule the census reads: `euler.genus_partition`
+    calls it at the four odd u1 (mod 8) once per S and keys each class by
+    the index of its symbol.  `enumerate_local_genera` keeps its own table,
+    so a defect here shows as a genus the table lacks.  Memoized: a census
+    adds at most 4 entries per (nu, unit)."""
     if nu == 0:
         # even-unimodular row: table label, not the pairwise-symbol value
         return TwoAdicGenusSymbol(0, unit, -1, None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -115,6 +116,35 @@ def test_classify_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "--det", "23", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())[0]["det"] == 23
+
+
+@pytest.mark.parametrize("fmt, marker", [("json", '"det": {},'), ("csv", "\n{},")])
+def test_classify_range_writes_each_report_before_building_the_next(monkeypatch, fmt, marker):
+    """A range holds one report at a time: S's row is on stdout when the
+    report of S + 1 is built."""
+    out = io.StringIO()
+    written = {}
+    build = cli.report_json_obj
+
+    def spying(S, prime_bound):
+        written[S] = out.getvalue()
+        return build(S, prime_bound)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(cli, "report_json_obj", spying)
+    assert main(["classify", "--det-range", "20:24", "--format", fmt]) == 0
+    for S in range(21, 25):
+        assert marker.format(S - 1) in written[S] and marker.format(S) not in written[S], S
+    assert marker.format(24) in out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_refused_first_det_writes_nothing(tmp_path, capsys, fmt):
+    target = tmp_path / "r.txt"
+    for out_args in ((), ("--out", str(target))):
+        code, out, err = run_cli(capsys, "classify", "--det", "1000000000001", "--format", fmt, *out_args)
+        assert code == 2 and out == "" and "factorization range" in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", ["classify --det 23", "euler --p 5 --unit 1 --which A"])

@@ -376,13 +376,56 @@ def test_genus_partition_equals_the_per_class_symbol_oracle():
         assert got == _per_class_partition(S), S
 
 
+# Gauss's 2-adic assigned characters at an odd u, as their values at
+# u = 1, 3, 5, 7 (mod 8), indexed by (u >> 1) & 3
+_DELTA = (1, -1, 1, -1)  # (-1)^((u-1)/2)
+_EPSILON = (1, -1, -1, 1)  # (-1)^((u^2-1)/8)
+_DELTA_EPSILON = (1, 1, -1, -1)
+
+
+def _assigned_two_adic_characters(S):
+    """The assigned 2-adic characters of discriminant -S, S = 0, 3 (mod 4),
+    by S mod 32 with n = S/4 (Cox, Primes of the form x^2 + ny^2, §3)."""
+    n = S // 4
+    if S % 4 == 3 or n % 4 == 3:
+        return ()
+    if n % 4 == 1 or n % 8 == 4:
+        return (_DELTA,)
+    if n % 8 == 2:
+        return (_DELTA_EPSILON,)
+    if n % 8 == 6:
+        return (_EPSILON,)
+    return (_DELTA, _EPSILON)  # n = 0 (mod 8)
+
+
+def _assigned_character_partition(S):
+    """The classes of S grouped by Gauss's assigned characters: the 2-adic
+    ones at the odd value u = a, or c when a is even, and (u|p) at each odd
+    p | S with u = a, or c when p | a.  An oracle for `genus_partition`
+    that shares none of its 2-adic code."""
+    chars = _assigned_two_adic_characters(S)
+    odd = [p for p, _ in factor(S) if p != 2]
+    groups = {}
+    for f in forms.enumerate_classes(S):
+        a, _, c = f.abc
+        key = tuple(ch[((a if a % 2 else c) >> 1) & 3] for ch in chars)
+        key += tuple(legendre(a if a % p else c, p) for p in odd)
+        groups.setdefault(key, []).append(f)
+    return [tuple(classes) for classes in groups.values()]
+
+
+def test_genus_partition_equals_the_assigned_character_oracle():
+    for S in list(range(1, 3001)) + list(range(99000, 99100)):
+        assert [rec.classes for rec in genus_partition(S)] == _assigned_character_partition(S), S
+
+
 @pytest.mark.parametrize("S", [231, 1560, 4620, 99960])
 def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
-    """Each S has several genera of several classes, so per-class symbol
-    work would show in the count.  The odd symbols come straight from the
-    grouping key, with no symbol call at all, and the 2-adic symbol from
-    `two_adic_symbol`, memoized on (nu_2(S), unit of S mod 8, u1 mod 8): it
-    misses at most once per such key among the classes."""
+    """Each S has several genera of several classes, so per-class or
+    per-genus symbol work would show in the count.  The odd symbols come
+    straight from the grouping key, with no symbol call at all, and the
+    2-adic ones from four `two_adic_symbol` calls per S, one per odd
+    u1 (mod 8)."""
     calls = []
 
     def counting(name, fn):
@@ -400,9 +443,8 @@ def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     n_classes = sum(len(rec.classes) for rec in genera)
     assert 1 < len(genera) < n_classes
     assert calls == []
-    sq = LocalSquareClass.of(S, 2)
-    keys = {(sq.val, sq.unit, (a if a % 2 else c) % 8) for rec in genera for a, _, c in rec.abc}
-    assert localgenus.two_adic_symbol.cache_info().misses <= len(keys)
+    info = localgenus.two_adic_symbol.cache_info()
+    assert info.hits + info.misses == 4
 
 
 def _genus_symbol_2_reference(f):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 from fractions import Fraction
@@ -24,10 +25,10 @@ from qfmass.globalmass import (
     kappa,
     l_value_truncated,
     mu_order,
-    report_csv_rows,
     report_json_obj,
-    report_json_str,
     total_mass_numeric,
+    write_report_csv,
+    write_report_json,
 )
 
 
@@ -463,6 +464,12 @@ def test_mu_order():
 # serialization
 
 
+def _written(write, objs) -> str:
+    buf = io.StringIO()
+    write(objs, buf)
+    return buf.getvalue()
+
+
 def test_report_json_fields_and_determinism():
     obj = report_json_obj(23, 10**5)
     assert obj["schema"] == 1
@@ -472,8 +479,8 @@ def test_report_json_fields_and_determinism():
     assert obj["genera"] == [[0, 1, 2]]
     assert obj["mass_exact"] == "3/4"
     assert obj["kappa"] == 1
-    s1 = report_json_str([obj])
-    s2 = report_json_str([report_json_obj(23, 10**5)])
+    s1 = _written(write_report_json, [obj])
+    s2 = _written(write_report_json, [report_json_obj(23, 10**5)])
     assert s1 == s2
     parsed = json.loads(s1)
     assert parsed[0]["mass_exact"] == "3/4"
@@ -481,9 +488,15 @@ def test_report_json_fields_and_determinism():
 
 def test_report_csv_round():
     objs = [report_json_obj(S, 10**5) for S in (3, 9, 23)]
-    text = report_csv_rows(objs)
+    text = _written(write_report_csv, objs)
     lines = text.strip().split("\n")
     assert lines[0] == "det,classes,aut,genera,mass_exact,kappa,rhs_numeric,rel_err"
     assert len(lines) == 4
     assert lines[2].startswith("9,,,,0,1,")  # empty determinant row
-    assert report_csv_rows(objs) == text
+    assert _written(write_report_csv, objs) == text
+
+
+def test_streamed_json_equals_one_dump_of_the_list():
+    objs = [report_json_obj(S, 10**5) for S in (3, 9, 23)]
+    for n in range(len(objs) + 1):
+        assert _written(write_report_json, objs[:n]) == json.dumps(objs[:n], indent=2, sort_keys=True) + "\n", n

@@ -24,6 +24,7 @@ from qfmass.localgenus import (
     representative_form,
     same_genus,
     shape_for_nu,
+    two_adic_symbol,
 )
 
 from .test_forms import random_posdef, random_sl2
@@ -206,6 +207,16 @@ def test_enumerate_two_adic_counts_match_distribution_table():
         got = enumerate_local_genera(2, LocalSquareClass(2, nu, u))
         counts = Counter(sym.label for sym in got)
         assert (counts[1], counts[-1]) == (plus, minus), (nu, u)
+    # the per-form rule `two_adic_symbol` meets every genus of the table and
+    # no other, on each realizable (nu, u)
+    realizable = 0
+    for nu in range(16):
+        for u in (1, 3, 5, 7):
+            got = enumerate_local_genera(2, LocalSquareClass(2, nu, u))
+            if got:
+                realizable += 1
+                assert {two_adic_symbol(nu, u, u1) for u1 in (1, 3, 5, 7)} == set(got), (nu, u)
+    assert realizable == 58
 
 
 def test_enumerate_rejects_mismatched_prime():

@@ -67,10 +67,24 @@ MUTANTS = (
         frozenset({"euler-closed-forms"}),
     ),
     Mutant(
-        "n = 2 (mod 8) keyed by delta, not delta*eps",
+        "2-adic key reads u1 mod 4",
         "euler.py",
-        "        return (_DELTA_EPSILON,)\n",
-        "        return (_DELTA,)\n",
+        ">> 1) & 3]",
+        ">> 1) & 1]",
+        frozenset({"decomposition", "siegel"}),
+    ),
+    Mutant(
+        "lead unit mod 4 at nu >= 5",
+        "localgenus.py",
+        "        return u1 % 8\n",
+        "        return u1 % 4\n",
+        frozenset({"decomposition"}),
+    ),
+    Mutant(
+        "2-adic label drops the sign of det",
+        "localgenus.py",
+        "hilbert_symbol(u1, -unit << nu, 2)",
+        "hilbert_symbol(u1, unit << nu, 2)",
         frozenset({"decomposition", "siegel"}),
     ),
     Mutant(
