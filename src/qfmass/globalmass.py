@@ -103,10 +103,10 @@ def _char_table(D: int) -> np.ndarray:
     (2|r) factor occurs for odd a, where 8 | D or D = 2 (mod 4), and the
     (-1|r) factor only for even D or D = 3 (mod 4).  The even entries
     r = 2^k r', r' odd, are then (D|2)^k (D|r'), copied from the odd entries
-    one k at a time; that is 0 for even D, and for D = 1 (mod 4) it rewrites
-    the values the tiling already gave.  No P-long index or remainder array
-    is built.  (Cohen, A Course in Computational Algebraic Number Theory,
-    1.4.)
+    one k at a time for odd D; for D = 1 (mod 4) that rewrites the values
+    the tiling already gave.  For even D, (D|2) = 0, so every even entry is
+    0 and is set in one step.  No P-long index or remainder array is built.
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.4.)
     """
     P = _char_period(D)
     table = np.ones(P, dtype=np.int8)
@@ -127,13 +127,16 @@ def _char_table(D: int) -> np.ndarray:
         sign[[3, 5]] *= -1
     q = 8 if flip_3_5_mod_8 else 4 if flip_3_mod_4 else 1
     table.reshape(-1, q)[:] *= sign[:q]
-    odd = table[1::2]
     chi_2 = kronecker(D, 2)
-    step, chi_step = 2, chi_2
-    while step < P:
-        even = table[step :: 2 * step]  # r = step * r', r' = 1, 3, 5, ...
-        np.multiply(odd[: len(even)], chi_step, out=even)
-        step, chi_step = 2 * step, chi_step * chi_2
+    if chi_2 == 0:
+        table[::2] = 0
+    else:
+        odd = table[1::2]
+        step, chi_step = 2, chi_2
+        while step < P:
+            even = table[step :: 2 * step]  # r = step * r', r' = 1, 3, 5, ...
+            np.multiply(odd[: len(even)], chi_step, out=even)
+            step, chi_step = 2 * step, chi_step * chi_2
     table[0] = kronecker(D, P)
     return table
 
@@ -446,12 +449,35 @@ def write_report_csv(objs: Iterable[dict], out: TextIO) -> None:
         )
 
 
+def _json_list(v: list) -> str:
+    """A report's list, of ints or of int lists, as `json.dumps` with
+    indent=2 lays out the value of a key of an object inside a list: one
+    entry per line, an inner list's ints one per line below it, and [] for
+    an empty list.  The first entry says which kind of list v is."""
+    if not v:
+        return "[]"
+    if not isinstance(v[0], list):
+        return "[\n      " + ",\n      ".join(map(int.__repr__, v)) + "\n    ]"
+    rows = ["[\n        " + ",\n        ".join(map(int.__repr__, x)) + "\n      ]" if x else "[]" for x in v]
+    return "[\n      " + ",\n      ".join(rows) + "\n    ]"
+
+
 def write_report_json(objs: Iterable[dict], out: TextIO) -> None:
     """The bytes of `json.dumps(list(objs), indent=2, sort_keys=True)` and a
     newline, with each object written as it comes: a range of S holds one
-    report at a time."""
+    report at a time.
+
+    The layout is written here from the shapes a report holds: a nonempty
+    dict with str keys, whose values are scalars (int, str, float or None,
+    each rendered by `json.dumps`), lists of ints or lists of int lists.
+    Any `indent` makes `json.dumps` run its pure-Python encoder, one
+    generator step per int, where this is one `join` per list."""
     sep = "[\n"
     for obj in objs:
-        out.write(sep + json.dumps([obj], indent=2, sort_keys=True)[2:-2])
+        fields = [
+            json.dumps(k) + ": " + (_json_list(v) if isinstance(v, list) else json.dumps(v))
+            for k, v in sorted(obj.items())
+        ]
+        out.write(sep + "  {\n    " + ",\n    ".join(fields) + "\n  }")
         sep = ",\n"
     out.write("[]\n" if sep == "[\n" else "\n]\n")

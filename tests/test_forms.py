@@ -219,7 +219,10 @@ def test_enumerate_matches_rescan_oracle():
 
 @pytest.mark.parametrize("S", [999996, 999999])
 def test_class_source_equals_the_oracle_beyond_the_golden_range(S):
-    assert reduced_classes(S) == enumerate_classes(S)
+    classes = reduced_classes(S)
+    assert classes == enumerate_classes(S)
+    # a plain (a, b, c) tuple would compare equal too
+    assert all(type(f) is QuadForm for f in classes)
 
 
 def test_class_source_blocks_join_in_abc_order(monkeypatch):

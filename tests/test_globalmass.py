@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from qfmass import cli, euler, forms, globalmass
@@ -500,3 +502,34 @@ def test_streamed_json_equals_one_dump_of_the_list():
     objs = [report_json_obj(S, 10**5) for S in (3, 9, 23)]
     for n in range(len(objs) + 1):
         assert _written(write_report_json, objs[:n]) == json.dumps(objs[:n], indent=2, sort_keys=True) + "\n", n
+
+
+def _dumped(objs: list[dict]) -> str:
+    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+
+
+def test_written_json_equals_the_stdlib_on_reports():
+    objs = [report_json_obj(S, 10**5) for S in [*range(1, 2001), *range(99000, 99040)]]
+    nulls = dict(objs[22], rhs_numeric=None, rel_err=None)
+    for obj in [*objs, nulls]:
+        assert _written(write_report_json, [obj]) == _dumped([obj]), obj["det"]
+    for stream in ([], objs, [nulls, *objs[-3:]]):
+        assert _written(write_report_json, stream) == _dumped(stream), len(stream)
+
+
+_json_ints = st.integers(min_value=-(2**70), max_value=2**70)
+_report_values = st.one_of(
+    st.none(),
+    _json_ints,
+    st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(_json_ints),
+    st.lists(st.lists(_json_ints)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.dictionaries(st.text(), _report_values, min_size=1), max_size=3))
+@example([{"aut": [], "classes": [[], [2**64, -(2**63) - 1]], "s\u00e9\"": 'q"\\\u2028', "x": -0.0}])
+def test_written_json_equals_the_stdlib_on_report_shaped_dicts(objs):
+    assert _written(write_report_json, objs) == _dumped(objs)
