@@ -33,17 +33,17 @@ print("  same_genus =", same_genus(QuadForm(2, 1, 3), QuadForm(2, -1, 3)))
 
 print("\nAll local genera with det class 3 * 2^nu at p = 2 (allowed nu skips 1):")
 for nu in range(0, 7):
-    rows = enumerate_local_genera(2, LocalSquareClass(2, nu, 3))
+    rows = enumerate_local_genera(LocalSquareClass(2, nu, 3))
     summary = ", ".join(f"{sym.shape} label={sym.label:+d}" for sym in rows) or "none"
     print(f"  nu = {nu}: {len(rows)} genera  [{summary}]")
 
 print("\nInverse local densities are rational; alpha_2 * 1/beta = 4, where alpha_2")
 print("counts the X mod 2^k with f o X = f (mod 2^k), divided by 2^k:")
 for nu in (0, 2, 3, 5):
-    for sym in enumerate_local_genera(2, LocalSquareClass(2, nu, 3)):
+    for sym in enumerate_local_genera(LocalSquareClass(2, nu, 3)):
         f = representative_form(sym)
         alpha = aut_density_mod_pk(f, 2, nu + 3)
-        print(f"  nu={nu}: f = {f.abc}, 1/beta = {local_density_inverse(sym)}, alpha_2 = {alpha}")
+        print(f"  nu={nu}: f = {tuple(f)}, 1/beta = {local_density_inverse(sym)}, alpha_2 = {alpha}")
         break
 
 print("\nAt a good odd prime, 1/beta = p / |SO(F_p)| (Hensel):")

@@ -7,16 +7,15 @@ from qfmass import (
     class_number,
     dirichlet_check,
     genus_census,
-    kappa,
     total_mass_numeric,
 )
 from qfmass.forms import mu_order
 
-print("Census masses vs the closed formula kappa(S) sqrt(S)/(4 pi) L(1, chi):")
+print("Census masses vs the closed formula sqrt(S)/(4 pi) L(1, chi_-S):")
 for S in (3, 4, 23, 48):
     res = total_mass_numeric(S, 10**5)
     print(
-        f"  S={S}: census = {res['census']}, kappa = {kappa(S)},"
+        f"  S={S}: census = {res['census']},"
         f" formula = {res['rhs']:.10f}, rel err = {res['rel_err']:.2e}"
     )
 
@@ -36,10 +35,10 @@ print("\nFull automorphism orders: only ambiguous classes reach 2|mu|:")
 for D in (-4, -23):
     rep = genus_census(-D)
     auts = [n for g in rep.genera for n in g.aut_orders]
-    print(f"  D={D}: classes {[f.abc for f in rep.classes]}, aut orders = {auts}, 2|mu| = {2 * mu_order(D)}")
+    print(f"  D={D}: classes {[tuple(f) for f in rep.classes]}, aut orders = {auts}, 2|mu| = {2 * mu_order(D)}")
 
 print("\nGenus structure of a multi-genus determinant (S = 48):")
 rep = genus_census(48)
 for i, g in enumerate(rep.genera):
-    print(f"  genus {i}: classes {[f.abc for f in g.classes]}, mass {g.mass}")
+    print(f"  genus {i}: classes {[tuple(f) for f in g.classes]}, mass {g.mass}")
 print("  total:", rep.total_mass)

@@ -46,7 +46,6 @@ from .globalmass import (
     dirichlet_check,
     genus_census,
     is_fundamental_discriminant,
-    kappa,
     l_value_truncated,
     total_mass_numeric,
 )

@@ -81,7 +81,7 @@ def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
     local genera.  The normalized mass sum M~^eps adds beta_generic/beta_G
     over the genera of Hasse label eps, so M~^+- = (A +- B)/2."""
     A = B = Fraction(0)
-    for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, unit)):
+    for sym in enumerate_local_genera(LocalSquareClass(p, nu, unit)):
         r = density_ratio(sym)
         A += r
         B += sym.label * r
@@ -158,23 +158,17 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 @dataclass(frozen=True)
 class GenusRecord:
     """One genus of primitive proper classes of a determinant: its classes as
-    the class source hands them over, (a, b, c) int triples in `abc` order,
-    with its local symbols (each carrying its Hasse label) at p | 2S and its
-    mass.  `classes` and `aut_orders` are computed when read; only `classify`,
-    the tests and the demos read them.  `density_product` is computed when
-    first read and then kept; only `decomposition_check` reads it.  Records
-    are shared through the `genus_partition` memo, so no caller may mutate
-    one.
+    the class source hands them over, `QuadForm`s in (a, b, c) order, with its
+    local symbols (each carrying its Hasse label) at p | 2S and its mass.
+    `aut_orders` is computed when read; only `classify`, the tests and the
+    demos read it.  `density_product` is computed when first read and then
+    kept; only `decomposition_check` reads it.  Records are shared through
+    the `genus_partition` memo, so no caller may mutate one.
     """
 
-    abc: tuple[QuadForm, ...]
+    classes: tuple[QuadForm, ...]
     symbols: dict[int, LocalGenusSymbol]
     mass: Fraction  # sum over the classes of 1/(2 |proper Aut|)
-
-    @property
-    def classes(self) -> tuple[QuadForm, ...]:
-        """The classes as forms: each triple is a `QuadForm` already."""
-        return self.abc
 
     @property
     def aut_orders(self) -> list[int]:
@@ -182,9 +176,9 @@ class GenusRecord:
         form of discriminant -S: w = mu_order(-S) proper automorphisms, and
         2w when the form is ambiguous (b = 0, a = b or a = c).
         `forms.automorphism_count` is the oracle the tests hold this to."""
-        a, b, c = self.abc[0]
+        a, b, c = self.classes[0]
         w = mu_order(b * b - 4 * a * c)
-        return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.abc]
+        return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.classes]
 
     @cached_property
     def density_product(self) -> tuple[int, int]:
@@ -272,7 +266,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         for p, d in zip(odd, local):
             symbols[p] = OddGenusSymbol(p, d.val, d.unit, NQR if key & bit else QR)
             bit <<= 1
-        records.append(GenusRecord(abc=tuple(classes), symbols=symbols, mass=Fraction(len(classes), 2 * w)))
+        records.append(GenusRecord(classes=tuple(classes), symbols=symbols, mass=Fraction(len(classes), 2 * w)))
     return tuple(records)
 
 

@@ -33,12 +33,8 @@ class QuadForm(NamedTuple):
     b: int
     c: int
 
-    @property
-    def abc(self) -> tuple[int, int, int]:
-        return self.a, self.b, self.c
-
     def __call__(self, x: int, y: int) -> int:
-        a, b, c = self.abc
+        a, b, c = self
         return a * x * x + b * x * y + c * y * y
 
     def is_positive_definite(self) -> bool:
@@ -46,7 +42,7 @@ class QuadForm(NamedTuple):
 
     def transform(self, t: tuple[tuple[int, int], tuple[int, int]]) -> "QuadForm":
         """The form f(T(x, y)) for an integer matrix T (columns = images)."""
-        a, b, c = self.abc
+        a, b, c = self
         (p, q), (r, s) = t
         a2 = a * p * p + b * p * r + c * r * r
         c2 = a * q * q + b * q * s + c * s * s
@@ -65,7 +61,7 @@ def is_primitive(f: QuadForm) -> bool:
 
 
 def content(f: QuadForm) -> int:
-    return gcd(*f.abc)
+    return gcd(*f)
 
 
 def _is_reduced(a: int, b: int, c: int) -> bool:
@@ -84,7 +80,7 @@ def reduce_binary(f: QuadForm) -> QuadForm:
     """
     if not f.is_positive_definite():
         raise ValueError("reduce_binary needs a positive-definite form")
-    a, b, c = f.abc
+    a, b, c = f
     while not (-a < b <= a <= c):
         if not -a < b <= a:
             # (x, y) -> (x + k*y, y) translates b into (-a, a]
@@ -103,7 +99,7 @@ def reduce_binary(f: QuadForm) -> QuadForm:
 def _norm_vectors(f: QuadForm, value: int) -> list[tuple[int, int]]:
     """All integer (x, y) with f(x, y) = value > 0, by a provably complete scan:
     4a*f = (2ax + by)^2 + det*y^2 bounds y, and symmetrically for x."""
-    a, b, c = f.abc
+    a, b, c = f
     d = det_hessian(f)
     out = []
     ymax = isqrt(4 * a * value // d)
@@ -123,7 +119,7 @@ def _norm_vectors(f: QuadForm, value: int) -> list[tuple[int, int]]:
 
 
 def _automorphisms(f: QuadForm) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    a, b, c = f.abc
+    a, b, c = f
     auts = []
     vs = _norm_vectors(f, a)
     ws = _norm_vectors(f, c)
@@ -339,7 +335,7 @@ def class_count(S: int) -> int:
 
 def mirror(f: QuadForm) -> QuadForm:
     """The improperly equivalent form (x, y) -> (x, -y), flipping b."""
-    a, b, c = f.abc
+    a, b, c = f
     return QuadForm(a, -b, c)
 
 
@@ -370,7 +366,7 @@ def hasse_invariant(f: QuadForm, place) -> int:
     d = det_hessian(f)
     if d == 0:
         raise ValueError("degenerate form")
-    a, b, c = f.abc
+    a, b, c = f
     return hilbert_symbol(a or c or b, -d, place)
 
 

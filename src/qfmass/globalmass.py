@@ -5,7 +5,7 @@ class number formula for imaginary quadratic fields.
 Census masses follow the Smith-Minkowski convention: one term 1/|Aut(Q)|
 per GL_2(Z)-class with the full automorphism group, which equals
 (1/2) sum of 1/|proper Aut| over proper classes.  That normalization is the
-one the closed formula kappa(S) sqrt(S)/(4 pi) L(1, chi) reproduces.
+one the closed formula sqrt(S)/(4 pi) L(1, chi_-S) reproduces.
 """
 from __future__ import annotations
 
@@ -45,20 +45,8 @@ def genus_census(S: int) -> GenusReport:
     if S <= 0:
         raise ValueError("determinant must be positive")
     genera = list(genus_partition(S))
-    total = Fraction(sum(len(g.abc) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
+    total = Fraction(sum(len(g.classes) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
     return GenusReport(det=S, genera=genera, total_mass=total)
-
-
-def kappa(S: int) -> int:
-    """The {0, 1, 2}-valued constant of the closed total-mass formula.
-
-    It differs from 1 only when S is a square whose normalized 2-adic unit
-    is 3 mod 4.  Over Q that never happens: the odd part of a square S is an
-    odd square, and odd squares are 1 mod 8.  So kappa(S) = 1 for all S > 0.
-    """
-    if S <= 0:
-        raise ValueError("determinant must be positive")
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,11 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
 
 def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
     """Exact census total mass vs the closed formula
-    kappa(S) sqrt(S)/(4 pi) * prod over p prime to S of gamma_p^-1.
+    sqrt(S)/(4 pi) L(1, chi_-S), with the L-value from `l_value_truncated`.
+
+    Its constant kappa is left out, as it is 1 for every S > 0: it differs
+    from 1 only when S is a square with 2-adic unit 3 mod 4, but the odd part
+    of a square is an odd square, and odd squares are 1 mod 8.
 
     The total mass reads only the class count: every proper class of det S
     has w = mu_order(-S) proper automorphisms, so it is h/(2w) with
@@ -332,11 +324,12 @@ def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
     no L-value.  The L-value comes first, so a realizable S whose L-value
     would need more than L_TERMS_MAX terms is refused before the class
     scan."""
-    k = kappa(S)  # refuses S <= 0
+    if S <= 0:
+        raise ValueError("determinant must be positive")
     if S % 4 in (0, 3):
         trunc = l_value_truncated(-S, prime_bound)
         census = Fraction(class_count(S), 2 * mu_order(-S))
-        rhs = k * math.sqrt(S) / (4 * math.pi) * trunc.value
+        rhs = math.sqrt(S) / (4 * math.pi) * trunc.value
         rel = abs(rhs - float(census)) / float(census)
     else:
         # unrealizable S: both sides vanish (the 2-adic factor kills the formula)
@@ -347,7 +340,6 @@ def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
     return {
         "det": S,
         "census": census,
-        "kappa": k,
         "rhs": rhs,
         "rel_err": rel,
         "trunc": trunc,
@@ -409,7 +401,7 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
     records = genus_partition(S)
     # one row per class, sorted by its distinct (a, b, c) triple; each genus's
     # triples are in abc order, so its index list comes out ascending
-    rows = sorted((abc, n, i) for i, g in enumerate(records) for abc, n in zip(g.abc, g.aut_orders))
+    rows = sorted((abc, n, i) for i, g in enumerate(records) for abc, n in zip(g.classes, g.aut_orders))
     genera: list[list[int]] = [[] for _ in records]
     for k, (_, _, i) in enumerate(rows):
         genera[i].append(k)
@@ -420,7 +412,7 @@ def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:
         "aut": [n for _, n, _ in rows],
         "genera": genera,
         "mass_exact": str(numeric["census"]),
-        "kappa": numeric["kappa"],
+        "kappa": 1,  # the closed formula's constant, 1 for every S over Q
         "rhs_numeric": _format_float(numeric["rhs"]),
         "rel_err": _format_float(numeric["rel_err"]),
     }

@@ -126,7 +126,7 @@ def jordan_split_odd(f: QuadForm, p: int) -> OddGenusSymbol:
     if d.val == 0:
         return OddGenusSymbol(p, 0, d.unit, QR)
     # a or c is a p-unit u1, and f splits over Z_p as <u1> + <det_H / u1>
-    a, _, c = f.abc
+    a, _, c = f
     return OddGenusSymbol(p, d.val, d.unit, kronecker(a if a % p else c, p))
 
 
@@ -158,7 +158,7 @@ def genus_symbol_2(f: QuadForm) -> TwoAdicGenusSymbol:
     if d == 0:
         raise ValueError("degenerate form")
     sq = LocalSquareClass.of(d, 2)
-    a, _, c = f.abc
+    a, _, c = f
     return two_adic_symbol(sq.val, sq.unit, (a if a % 2 else c) % 8)
 
 
@@ -183,16 +183,12 @@ def same_genus(f: QuadForm, g: QuadForm) -> bool:
     return True
 
 
-def enumerate_local_genera(
-    p: int, S_p: LocalSquareClass
-) -> list[LocalGenusSymbol]:
+def enumerate_local_genera(S_p: LocalSquareClass) -> list[LocalGenusSymbol]:
     """All local genera of primitive binary p-integral forms of determinant
-    class S_p.  Empty when no genus exists."""
-    if S_p.p != p:
-        raise ValueError("squareclass prime mismatch")
+    class S_p, at its prime p = S_p.p.  Empty when no genus exists."""
     if S_p.val < 0:
         return []
-    nu, u = S_p.val, S_p.unit
+    p, nu, u = S_p.p, S_p.val, S_p.unit
     if p != 2:
         return [OddGenusSymbol(p, nu, u, t) for t in ((QR,) if nu == 0 else (QR, NQR))]
     if nu == 0:

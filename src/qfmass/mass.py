@@ -8,6 +8,10 @@ ord_p 2), where the half powers of q always cancel; the tests keep that
 table and that conversion as data.  Each row is pinned on its own by the
 mod-p^k automorphism count `aut_density_mod_pk`, an elementary oracle kept
 out of every hot path, as `count_SO_mod_p` is.
+
+`density_ratio`, the row over the generic density at the same (p, unit), is
+the one memoized value per symbol: the local mass sums, the decomposition
+check and the genus mass ratios all read it.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from .forms import QuadForm, det_hessian
 from .localgenus import LocalGenusSymbol
 
 
-@lru_cache(maxsize=None)
 def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     """Inverse local density 1/beta_p of a rank-2 local genus of valuation
     nu = ord_p(det_H) and determinant unit class u:
@@ -34,8 +37,7 @@ def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     What pins each row is the automorphism count: for any form f of the
     genus, alpha_p(f) * 1/beta_p = 4 at p = 2 and 2 at odd p, where
     alpha_p(f) = `aut_density_mod_pk(f, p, k)` for k large enough.
-    Memoized per symbol: symbols are frozen and the value reads only their
-    fields.
+    Not memoized: the package reads it through the memo of `density_ratio`.
     """
     p, nu = g.p, g.nu
     if p != 2:
@@ -62,8 +64,8 @@ def generic_density_inverse(p: int, u) -> Fraction:
 @lru_cache(maxsize=None)
 def density_ratio(g: LocalGenusSymbol) -> Fraction:
     """beta_generic / beta_G at the symbol's prime: the normalized density
-    entering the local mass sums; memoized per symbol like
-    `local_density_inverse`."""
+    entering the local mass sums.  Memoized per symbol, the only density
+    memo: symbols are frozen and the value reads only their fields."""
     return local_density_inverse(g) / generic_density_inverse(g.p, g.unit_rep())
 
 
@@ -72,7 +74,7 @@ def count_SO_mod_p(f: QuadForm, p: int) -> int:
     only valid (and only accepted) at odd primes of good reduction."""
     if p == 2 or det_hessian(f) % p == 0:
         raise ValueError("count_SO_mod_p needs an odd prime of good reduction")
-    a, b, c = (x % p for x in f.abc)
+    a, b, c = (x % p for x in f)
     count = 0
     for m00 in range(p):
         for m01 in range(p):
@@ -118,7 +120,7 @@ def aut_density_mod_pk(f: QuadForm, p: int, k: int) -> Fraction:
     if p ** (2 * k) > AUT_SCAN_MAX:
         raise ValueError(f"aut_density_mod_pk scans p^2k vectors, at most {AUT_SCAN_MAX}")
     q = p**k
-    a, b, c = (x % q for x in f.abc)
+    a, b, c = (x % q for x in f)
     x = np.arange(q, dtype=np.int64)
     values = np.outer(x, x)  # entries below q^3 <= 2^33
     values *= b
@@ -143,14 +145,16 @@ def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, 
     """Ratio of Siegel masses of two genera with equal determinant, as the
     product over p | 2 det of their inverse-local-density ratios.
 
-    The product runs over plain integers, the numerators and denominators of
-    the memoized `local_density_inverse` values, and is reduced once into the
-    returned `Fraction`."""
+    It reads the memoized `density_ratio` values: the two genera share the
+    determinant, so at every p their symbols share (p, nu, unit) and hence
+    the generic density, which cancels from each quotient.  The product runs
+    over plain integers, their numerators and denominators, and is reduced
+    once into the returned `Fraction`."""
     if set(symbols1) != set(symbols2):
         raise ValueError("genus symbol supports differ")
     n = d = 1
     for p in symbols1:
-        a, b = local_density_inverse(symbols1[p]), local_density_inverse(symbols2[p])
+        a, b = density_ratio(symbols1[p]), density_ratio(symbols2[p])
         n *= a.numerator * b.denominator
         d *= a.denominator * b.numerator
     return Fraction(n, d)

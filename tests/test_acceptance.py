@@ -152,7 +152,7 @@ def test_criterion_4_siegel_ratio_identity():
 
 
 def test_criterion_5_total_mass_numerics():
-    """Census total mass vs kappa(S) sqrt(S)/(4 pi) L(1, chi) (Abel-summed,
+    """Census total mass vs sqrt(S)/(4 pi) L(1, chi_-S) (Abel-summed,
     bound 1e5) within 2e-3 for every realizable S <= 500.
 
     Spot anchors: S=3 -> 1/12 and S=4 -> 1/8 as stated.  At S = 23 the
@@ -182,7 +182,7 @@ def test_criterion_5_total_mass_numerics():
     _report(
         5,
         ok and anchors and elapsed < 60.0,
-        f"kappa-formula numerics on {realizable} realizable S<=500, worst rel err {worst:.2e}, {elapsed:.1f}s",
+        f"total-mass formula numerics on {realizable} realizable S<=500, worst rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -233,7 +233,7 @@ def test_criterion_7_structural_invariants():
     for _ in range(50):
         f = random_posdef(rng)
         for u in (-1, 2, 3, 5):
-            scaled = QuadForm(*(u * x for x in f.abc))
+            scaled = QuadForm(*(u * x for x in f))
             for place in (2, 3, 5, OO):
                 scaling_ok = scaling_ok and scale_hasse(u, f, place) == hasse_invariant(
                     scaled, place
@@ -251,7 +251,7 @@ def test_criterion_7_structural_invariants():
             ) == Fraction(p, count_SO_mod_p(f, p))
 
     unique_ok = all(
-        len(enumerate_local_genera(p, LocalSquareClass(p, 0, u))) == 1
+        len(enumerate_local_genera(LocalSquareClass(p, 0, u))) == 1
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
         for u in (QR, NQR)
     )

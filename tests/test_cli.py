@@ -247,6 +247,16 @@ def test_verify_siegel_reports_a_failing_ratio(monkeypatch, capsys):
     assert code == 1
     assert re.search(r"^FAIL siegel S=\d+: census \S+ vs local \S+$", out, re.M)
     assert "FAIL siegel mass-ratio identity" in out
+    # every multi-genus S fails, but only the first 10 are printed
+    assert len(re.findall(r"^FAIL siegel S=", out, re.M)) == 10
+
+
+def test_verify_class_number_prints_at_most_10_failures(capsys):
+    code, out, _ = run_cli(capsys, "verify", "class-number", "--dmax", "200", "--tol", "1e-12")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 11
+    assert all(re.fullmatch(r"FAIL class-number D=-\d+: h=\d+ predicted=\d+\.\d{6}", x) for x in lines[:10])
+    assert lines[-1].startswith("FAIL class-number formula on ")
 
 
 def test_verify_class_number(capsys):

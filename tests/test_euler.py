@@ -407,7 +407,7 @@ def _assigned_character_partition(S):
     odd = [p for p, _ in factor(S) if p != 2]
     groups = {}
     for f in forms.enumerate_classes(S):
-        a, _, c = f.abc
+        a, _, c = f
         key = tuple(ch[((a if a % 2 else c) >> 1) & 3] for ch in chars)
         key += tuple(legendre(a if a % p else c, p) for p in odd)
         groups.setdefault(key, []).append(f)
@@ -454,7 +454,7 @@ def _genus_symbol_2_reference(f):
     sq = LocalSquareClass.of(forms.det_hessian(f), 2)
     if sq.val == 0:
         return TwoAdicGenusSymbol(0, sq.unit, -1, None)
-    a, _, c = f.abc
+    a, _, c = f
     u1 = a if a % 2 else c
     return TwoAdicGenusSymbol(sq.val, sq.unit, forms.hasse_invariant(f, 2), localgenus._canonical_lead(sq.val, u1 % 8))
 
@@ -471,7 +471,7 @@ def test_two_adic_symbol_memo_equals_the_per_form_reference():
 def test_census_groups_triples_and_builds_no_form(monkeypatch):
     """The census, the Siegel ratios and both decomposition checks read the
     records' triples, counts and symbols: neither `euler` nor `globalmass`
-    builds a `QuadForm`.  `classes` and `aut_orders`, when read, equal the
+    builds a `QuadForm`.  The records' `classes` and `aut_orders` equal the
     oracles."""
 
     def refuse(*args):
@@ -493,7 +493,7 @@ def test_census_groups_triples_and_builds_no_form(monkeypatch):
         genera = genus_partition(S)
         assert sorted(f for rec in genera for f in rec.classes) == forms.enumerate_classes(S), S
         for rec in genera:
-            assert rec.classes == rec.abc and list(rec.abc) == sorted(rec.abc), S
+            assert list(rec.classes) == sorted(rec.classes), S
             assert rec.aut_orders == [automorphism_count(f) for f in rec.classes], S
 
 

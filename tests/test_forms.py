@@ -34,18 +34,17 @@ from qfmass.localgenus import local_symbol
 def reduce_by_search(f: QuadForm, bound: int = 10) -> QuadForm:
     """Brute-force reduction: scan unimodular changes of variable with
     entries bounded by `bound` and return the reduced image."""
-    a, b, c = f.abc
     best = None
     for p, q, r, s in itertools.product(range(-bound, bound + 1), repeat=4):
         if p * s - q * r != 1:
             continue
         g = f.transform(((p, q), (r, s)))
-        aa, bb, cc = g.abc
+        aa, bb, cc = g
         if abs(bb) <= aa <= cc and (bb >= 0 or (aa < cc and aa != abs(bb))):
-            assert best is None or best == g.abc, "two reduced images"
-            best = g.abc
+            assert best is None or best == g, "two reduced images"
+            best = g
     assert best is not None
-    return QuadForm(*best)
+    return best
 
 
 def aut_by_search(f: QuadForm, bound: int = 6) -> tuple[int, int]:
@@ -74,7 +73,7 @@ def classes_by_rescan(S: int) -> list[tuple[int, int, int]]:
                 if c > 0 and 4 * a * c - b * b == S:
                     f = QuadForm(a, b, c)
                     if is_primitive(f):
-                        seen.add(reduce_binary(f).abc)
+                        seen.add(reduce_binary(f))
     return sorted(seen)
 
 
@@ -118,7 +117,7 @@ def test_det_hessian_examples():
 def test_values_and_coefficients():
     f = QuadForm(2, 1, 3)
     assert f(1, 0) == 2 and f(0, 1) == 3 and f(1, 1) == 6
-    assert f.abc == (2, 1, 3)
+    assert f == (2, 1, 3) and (f.a, f.b, f.c) == (2, 1, 3)
 
 
 def test_is_primitive():
@@ -132,11 +131,11 @@ def test_is_primitive():
 
 
 def test_reduce_examples():
-    assert reduce_binary(QuadForm(1, 3, 3)).abc == (1, 1, 1)
-    assert reduce_by_search(QuadForm(1, 3, 3)).abc == (1, 1, 1)
-    assert reduce_binary(QuadForm(1, 0, 1)).abc == (1, 0, 1)
-    assert reduce_binary(QuadForm(2, -1, 3)).abc == (2, -1, 3)
-    assert reduce_by_search(QuadForm(2, -1, 3)).abc == (2, -1, 3)
+    assert reduce_binary(QuadForm(1, 3, 3)) == (1, 1, 1)
+    assert reduce_by_search(QuadForm(1, 3, 3)) == (1, 1, 1)
+    assert reduce_binary(QuadForm(1, 0, 1)) == (1, 0, 1)
+    assert reduce_binary(QuadForm(2, -1, 3)) == (2, -1, 3)
+    assert reduce_by_search(QuadForm(2, -1, 3)) == (2, -1, 3)
 
 
 def test_reduce_rejects_indefinite():
@@ -198,8 +197,8 @@ def test_automorphism_rejects_indefinite():
 
 
 def test_enumerate_examples():
-    assert [f.abc for f in enumerate_classes(3)] == [(1, 1, 1)]
-    assert [f.abc for f in enumerate_classes(23)] == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
+    assert enumerate_classes(3) == [(1, 1, 1)]
+    assert enumerate_classes(23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
     assert enumerate_classes(9) == []
 
 
@@ -214,7 +213,7 @@ def test_enumerate_empty_iff_1_or_2_mod_4():
 
 def test_enumerate_matches_rescan_oracle():
     for S in range(1, 101):
-        assert [f.abc for f in enumerate_classes(S)] == classes_by_rescan(S)
+        assert enumerate_classes(S) == classes_by_rescan(S)
 
 
 @pytest.mark.parametrize("S", [999996, 999999])
@@ -292,14 +291,14 @@ def test_class_source_width_resets_after_a_jump_back(fresh_window):
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 64])
 def test_window_buckets_equal_the_oracle(lo, width):
     # at width 64 every a < 16 has 4a < width: such a pair can give several c
-    expected = [[f.abc for f in enumerate_classes(S)] for S in range(lo, lo + width)]
+    expected = [enumerate_classes(S) for S in range(lo, lo + width)]
     assert _buckets(lo, lo + width) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 5000), st.integers(1, 64))
 def test_window_buckets_equal_the_oracle_property(lo, width):
-    expected = [[f.abc for f in enumerate_classes(S)] for S in range(lo, lo + width)]
+    expected = [enumerate_classes(S) for S in range(lo, lo + width)]
     assert _buckets(lo, lo + width) == expected
 
 
@@ -364,9 +363,9 @@ def test_enumerate_pairwise_inequivalent_and_reduced():
     rng = random.Random(3)
     for S in (23, 32, 36, 48, 75):
         forms = enumerate_classes(S)
-        assert len({f.abc for f in forms}) == len(forms)
+        assert len(set(forms)) == len(forms)
         for f in forms:
-            a, b, c = f.abc
+            a, b, c = f
             assert abs(b) <= a <= c and a <= isqrt(S // 3)
             assert reduce_binary(f) == f
             t = random_sl2(rng)
@@ -379,7 +378,7 @@ def test_improper_class_grouping():
     from qfmass.forms import improper_classes
 
     groups = improper_classes(23)
-    assert [tuple(f.abc for f in g) for g in groups] == [
+    assert [tuple(g) for g in groups] == [
         ((1, 1, 6),),
         ((2, -1, 3), (2, 1, 3)),
     ]
@@ -420,7 +419,7 @@ def test_hasse_product_formula_over_enumerated_forms():
             prod = 1
             for p in {2} | {p for p, _ in factor(S)}:
                 prod *= hasse_invariant(f, p)
-            assert prod == 1, f.abc
+            assert prod == 1, f
 
 
 def test_scale_hasse_by_one_is_identity():
@@ -434,7 +433,7 @@ def test_scale_hasse_matches_direct_recomputation():
     for _ in range(50):
         f = random_posdef(rng)
         for u in (-1, 2, 3, 5):
-            scaled = QuadForm(*(u * x for x in f.abc))
+            scaled = QuadForm(*(u * x for x in f))
             for place in (2, 3, 5, OO):
                 assert scale_hasse(u, f, place) == hasse_invariant(scaled, place)
 
@@ -458,7 +457,7 @@ def test_hasse_invariant_is_a_rational_isometry_invariant(a, b, c, p, q, r, s):
     assume(det_hessian(f) != 0 and p * s - q * r != 0)
     g = f.transform(((p, q), (r, s)))
     for v in PLACES:
-        assert hasse_invariant(g, v) == hasse_invariant(f, v), (f.abc, g.abc, v)
+        assert hasse_invariant(g, v) == hasse_invariant(f, v), (f, g, v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -502,6 +501,6 @@ def test_proper_equivalence_keeps_reduction_symbols_and_automorphisms(f, t):
     g = f.transform(t)
     assert reduce_binary(g) == f
     for prime in sorted({2} | {pr for pr, _ in factor(det_hessian(f))}):
-        assert local_symbol(g, prime) == local_symbol(f, prime), (f.abc, g.abc, prime)
+        assert local_symbol(g, prime) == local_symbol(f, prime), (f, g, prime)
     assert automorphism_count(g) == automorphism_count(f)
     assert proper_automorphism_count(g) == proper_automorphism_count(f)

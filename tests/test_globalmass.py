@@ -24,7 +24,6 @@ from qfmass.globalmass import (
     dirichlet_check,
     genus_census,
     is_fundamental_discriminant,
-    kappa,
     l_value_truncated,
     mu_order,
     report_json_obj,
@@ -141,23 +140,6 @@ def test_genus_count_is_power_of_two_from_prime_discriminants():
         rep = genus_census(-D)
         t = _prime_discriminant_count(D)
         assert len(rep.genera) == 2 ** (t - 1), D
-
-
-# ---------------------------------------------------------------------------
-# kappa
-
-
-def test_kappa_examples():
-    assert kappa(3) == 1
-    assert kappa(4) == 1
-    for m in (1, 3, 5, 9, 15):
-        assert kappa(m * m) == 1  # odd squares have unit part 1 mod 8
-
-
-def test_kappa_is_one_on_integers():
-    # a square determinant has odd part 1 mod 8, never 3 mod 4, so the
-    # 0/2 branches need several primes over 2 and are vacuous over Q
-    assert all(kappa(S) == 1 for S in range(1, 2001))
 
 
 # ---------------------------------------------------------------------------

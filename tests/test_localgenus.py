@@ -179,10 +179,10 @@ def test_same_genus_equivalence_relation_and_proper_invariance():
 def test_enumerate_odd_p_counts():
     for p in (3, 5, 7, 11, 13, 17):
         for u in (QR, NQR):
-            got = enumerate_local_genera(p, LocalSquareClass(p, 0, u))
+            got = enumerate_local_genera(LocalSquareClass(p, 0, u))
             assert len(got) == 1 and got[0].label == 1
             for nu in range(1, 9):
-                got = enumerate_local_genera(p, LocalSquareClass(p, nu, u))
+                got = enumerate_local_genera(LocalSquareClass(p, nu, u))
                 counts = Counter(sym.label for sym in got)
                 if nu % 2:
                     assert counts == Counter({1: 1, -1: 1})
@@ -204,7 +204,7 @@ def test_enumerate_two_adic_counts_match_distribution_table():
             else:
                 expected[(nu, u)] = (2, 2)
     for (nu, u), (plus, minus) in expected.items():
-        got = enumerate_local_genera(2, LocalSquareClass(2, nu, u))
+        got = enumerate_local_genera(LocalSquareClass(2, nu, u))
         counts = Counter(sym.label for sym in got)
         assert (counts[1], counts[-1]) == (plus, minus), (nu, u)
     # the per-form rule `two_adic_symbol` meets every genus of the table and
@@ -212,23 +212,18 @@ def test_enumerate_two_adic_counts_match_distribution_table():
     realizable = 0
     for nu in range(16):
         for u in (1, 3, 5, 7):
-            got = enumerate_local_genera(2, LocalSquareClass(2, nu, u))
+            got = enumerate_local_genera(LocalSquareClass(2, nu, u))
             if got:
                 realizable += 1
                 assert {two_adic_symbol(nu, u, u1) for u1 in (1, 3, 5, 7)} == set(got), (nu, u)
     assert realizable == 58
 
 
-def test_enumerate_rejects_mismatched_prime():
-    with pytest.raises(ValueError):
-        enumerate_local_genera(3, LocalSquareClass(5, 0, QR))
-
-
 def test_representatives_realize_their_symbols():
     for p in (3, 5, 2):
         for u in ((QR, NQR) if p != 2 else (1, 3, 5, 7)):
             for nu in range(0, 8):
-                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                for sym in enumerate_local_genera(LocalSquareClass(p, nu, u)):
                     f, label = representative_form(sym), sym.label
                     assert local_symbol(f, p) == sym
                     if p != 2:
@@ -258,12 +253,12 @@ def test_local_symbol_lies_in_its_table_and_carries_the_hasse_invariant(f):
     d = det_hessian(f)
     for p in sorted({2} | {p for p, _ in factor(d)}):
         sym = local_symbol(f, p)
-        assert sym in enumerate_local_genera(p, LocalSquareClass.of(d, p)), (f.abc, p)
+        assert sym in enumerate_local_genera(LocalSquareClass.of(d, p)), (f, p)
         if p == 2 and sym.nu == 0:
             # unimodular-row convention: label -1, pairwise symbol +1
             assert (sym.label, hasse_invariant(f, 2)) == (-1, 1)
         else:
-            assert sym.label == hasse_invariant(f, p), (f.abc, p)
+            assert sym.label == hasse_invariant(f, p), (f, p)
 
 
 def test_completeness_census():
@@ -275,16 +270,16 @@ def test_completeness_census():
             plain_prod = 1
             for p in sorted({2} | {p for p, _ in factor(S)}):
                 sym = local_symbol(f, p)
-                table = enumerate_local_genera(p, LocalSquareClass.of(S, p))
+                table = enumerate_local_genera(LocalSquareClass.of(S, p))
                 match = [s.label for s in table if s == sym]
-                assert len(match) == 1, (S, f.abc, p)
+                assert len(match) == 1, (S, f, p)
                 label_prod *= match[0]
                 plain_prod *= hasse_invariant(f, p)
-            assert plain_prod == 1, (S, f.abc)
-            assert label_prod == (-1 if S % 2 else 1), (S, f.abc)
+            assert plain_prod == 1, (S, f)
+            assert label_prod == (-1 if S % 2 else 1), (S, f)
 
 
 def test_uniqueness_at_good_odd_primes():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for u in (QR, NQR):
-            assert len(enumerate_local_genera(p, LocalSquareClass(p, 0, u))) == 1
+            assert len(enumerate_local_genera(LocalSquareClass(p, 0, u))) == 1

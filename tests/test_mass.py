@@ -24,14 +24,14 @@ from .test_forms import random_posdef
 
 
 def _sym(p, nu, u, pick=0):
-    return enumerate_local_genera(p, LocalSquareClass(p, nu, u))[pick]
+    return enumerate_local_genera(LocalSquareClass(p, nu, u))[pick]
 
 
 def _local_genera(p, nu_max):
     """Every local genus at p with nu <= nu_max, over all unit classes."""
     for nu in range(nu_max + 1):
         for u in (1, 3, 5, 7) if p == 2 else (QR, NQR):
-            yield from enumerate_local_genera(p, LocalSquareClass(p, nu, u))
+            yield from enumerate_local_genera(LocalSquareClass(p, nu, u))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_densities_always_rational():
         units = (1, 3, 5, 7) if p == 2 else (QR, NQR)
         for u in units:
             for nu in range(9):
-                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                for sym in enumerate_local_genera(LocalSquareClass(p, nu, u)):
                     assert isinstance(local_density_inverse(sym), Fraction)
 
 
@@ -181,7 +181,7 @@ def test_aut_count_pins_the_census_densities():
     checked = set()
     for S in range(3, 400):
         for rec in genus_partition(S):
-            f = rec.abc[0]
+            f = rec.classes[0]
             for p, sym in rec.symbols.items():
                 k = sym.nu + (3 if p == 2 else 2)
                 if p ** (2 * k) > 2**20:
@@ -241,7 +241,7 @@ def test_density_ratio_table_values():
     for p in (3, 5):
         for u in (QR, NQR):
             for nu in (1, 2, 3):
-                for sym in enumerate_local_genera(p, LocalSquareClass(p, nu, u)):
+                for sym in enumerate_local_genera(LocalSquareClass(p, nu, u)):
                     g = gamma_factor(sym.unit_rep(), p)
                     assert density_ratio(sym) == Fraction(1, 2) * g / p**nu
     # 2-adic rows
@@ -252,11 +252,11 @@ def test_density_ratio_table_values():
 
 def test_density_memos_return_the_unmemoized_values():
     """Equal symbols must have equal densities: once every symbol below has
-    passed through the memos, each memoized value equals a fresh one."""
+    passed through the memo of `density_ratio`, each memoized value equals a
+    fresh one."""
     symbols = [sym for p in (2, 3, 5, 7, 11) for sym in _local_genera(p, 12)]
     for S in range(1, 501):
         for g in genus_census(S).genera:
             symbols += g.symbols.values()
-    for fn in (density_ratio, local_density_inverse):
-        memo = [fn(sym) for sym in symbols]
-        assert memo == [fn.__wrapped__(sym) for sym in symbols], fn.__name__
+    memo = [density_ratio(sym) for sym in symbols]
+    assert memo == [density_ratio.__wrapped__(sym) for sym in symbols]

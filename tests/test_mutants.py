@@ -1,0 +1,48 @@
+"""The README's mutant kill matrix states what `tools/mutants.py` expects.
+
+The test parses the table and compares it with the tool's SUITES and
+MUTANTS; it runs no suite.  Row names are worded differently in the two
+places (ν against nu), so rows are matched by order and by their kills.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _readme_matrix() -> tuple[list[str], list[list[str]]]:
+    """The column headers (without the first) and the rows of the README
+    table that follows the `| mutant |` header."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith("| mutant |"))
+    table = []
+    for line in lines[top:]:
+        if not line.startswith("|"):
+            break
+        table.append([cell.strip() for cell in line.strip("|").split("|")])
+    header, rule, *rows = table
+    assert set(rule) == {"---"}
+    return [cell.strip("`") for cell in header[1:]], rows
+
+
+def test_readme_mutant_matrix_matches_the_tool():
+    mutants = _load_mutants()
+    headers, rows = _readme_matrix()
+    assert headers == [" ".join(args) for args in mutants.SUITES.values()]
+    assert len(rows) == len(mutants.MUTANTS)
+    for row, m in zip(rows, mutants.MUTANTS):
+        cells = row[1:]
+        assert len(cells) == len(mutants.SUITES) and set(cells) <= {"KILL", "live"}, row
+        assert {s for s, cell in zip(mutants.SUITES, cells) if cell == "KILL"} == m.kills, (row[0], m.name)
