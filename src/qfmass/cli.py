@@ -11,8 +11,10 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import random
 import sys
+from collections.abc import Generator, Iterable, Iterator
 
 from .arith import factor, is_prime, smallest_nonresidue
 from .euler import (
@@ -43,12 +45,18 @@ def _fail_usage(msg: str) -> int:
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """The stream a command writes to: the file `out_path`, else stdout."""
+    """The stream a command writes to: the file `out_path`, else stdout.  A
+    reader that closes stdout early ends the output, not the command or its
+    exit code; stdout then goes to os.devnull for the final flush."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             yield fh
-    else:
+        return
+    try:
         yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_range(args) -> range | None:
@@ -129,15 +137,8 @@ def cmd_euler(args) -> int:
 
 def _rf_str(rf) -> str:
     def poly(cs):
-        if not cs:
-            return "0"
-        parts = []
-        for i, c in enumerate(cs):
-            if c == 0:
-                continue
-            term = f"{c}" if i == 0 else (f"{c}*X" if i == 1 else f"{c}*X^{i}")
-            parts.append(term)
-        return " + ".join(parts) or "0"
+        terms = (f"{c}" if i == 0 else f"{c}*X" if i == 1 else f"{c}*X^{i}" for i, c in enumerate(cs) if c)
+        return " + ".join(terms) or "0"
 
     return f"({poly(rf.num)}) / ({poly(rf.den)})"
 
@@ -145,117 +146,111 @@ def _rf_str(rf) -> str:
 # Hasse-constrained decomposition checks per run, drawn from a fixed seed
 CONSTRAINED_INSTANCES = 50
 
+# Most FAIL lines one verdict prints before its summary line
+FAIL_LINES_MAX = 10
 
-def _verify_decomposition(max_det: int) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
-    bad = 0
-    for S in range(1, max_det + 1):
-        res = decomposition_check(S)
+
+def _verdict(out: list[str], suite: Generator[str, None, str]) -> bool:
+    """Append one verdict to `out`; return whether it passed.  The suite yields
+    FAIL lines (the first FAIL_LINES_MAX are kept) and LEDGER notes (kept in
+    place), then returns its title, which may count what its one pass saw."""
+    failed = 0
+    while True:
+        try:
+            line = next(suite)
+        except StopIteration as end:
+            out.append(f"{'FAIL' if failed else 'PASS'} {end.value}")
+            return not failed
+        failed += line.startswith("FAIL")
+        if failed <= FAIL_LINES_MAX or line.startswith("LEDGER"):
+            out.append(line)
+
+
+def _decomposition(cases: Iterable[tuple[int, dict | None]], title: str) -> Generator[str, None, str]:
+    for S, cons in cases:
+        res = decomposition_check(S, cons)
         if not res["equal"]:
-            ok = False
-            bad += 1
-            if bad <= 10:
-                lines.append(f"FAIL decomposition S={S}: lhs={res['lhs']} rhs={res['rhs']}")
-    lines.append(f"{'PASS' if ok else 'FAIL'} decomposition unconstrained S<=:{max_det}")
+            at = f"S={S} constraints={cons}" if cons else f"S={S}"
+            yield f"FAIL decomposition {at}: lhs={res['lhs']} rhs={res['rhs']}"
+    return title
+
+
+def _constrained_cases(max_det: int) -> Iterator[tuple[int, dict]]:
     rng = random.Random(20237)
-    cons_ok = True
     for _ in range(CONSTRAINED_INSTANCES):
         S = rng.randint(1, max_det)
         pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
-        k = rng.randint(1, min(3, len(pool)))
-        primes = rng.sample(pool, k)
-        cons = {p: rng.choice((1, -1)) for p in primes}
-        res = decomposition_check(S, cons)
-        if not res["equal"]:
-            cons_ok = False
-            lines.append(f"FAIL decomposition S={S} constraints={cons}: lhs={res['lhs']} rhs={res['rhs']}")
-    lines.append(f"{'PASS' if cons_ok else 'FAIL'} decomposition constrained ({CONSTRAINED_INSTANCES} instances)")
-    sign_ok = all(sign_tuple_identity(t, c) for t in (1, 2, 3, 4) for c in (1, -1))
-    lines.append(f"{'PASS' if sign_ok else 'FAIL'} sign-tuple polynomial identity |T|<=4")
-    return ok and cons_ok and sign_ok, lines
+        primes = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        yield S, {p: rng.choice((1, -1)) for p in primes}
 
 
-def _verify_siegel(max_det: int) -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
+def _sign_tuples() -> Generator[str, None, str]:
+    for t, c in itertools.product((1, 2, 3, 4), (1, -1)):
+        if not sign_tuple_identity(t, c):
+            yield f"FAIL sign-tuple |T|={t} c={c}"
+    return "sign-tuple polynomial identity |T|<=4"
+
+
+def _siegel(max_det: int) -> Generator[str, None, str]:
     multi = 0
-    bad = 0
     for S in range(1, max_det + 1):
         genera = genus_partition(S)
-        if len(genera) < 2:
-            continue
-        multi += 1
-        base = genera[0]
+        multi += len(genera) >= 2
         for other in genera[1:]:
-            local = genus_mass_ratio(other.symbols, base.symbols)
-            censusr = other.mass / base.mass
+            local = genus_mass_ratio(other.symbols, genera[0].symbols)
+            censusr = other.mass / genera[0].mass
             if local != censusr:
-                ok = False
-                bad += 1
-                if bad <= 10:
-                    lines.append(f"FAIL siegel S={S}: census {censusr} vs local {local}")
-    lines.append(f"{'PASS' if ok else 'FAIL'} siegel mass-ratio identity on {multi} multi-genus determinants <= {max_det}")
-    return ok, lines
+                yield f"FAIL siegel S={S}: census {censusr} vs local {local}"
+    return f"siegel mass-ratio identity on {multi} multi-genus determinants <= {max_det}"
 
 
-def _verify_class_number(dmax: int, tol: float, prime_bound: int) -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
-    checked = 0
-    worst = 0.0
-    bad = 0
-    for D in range(-3, -dmax - 1, -1):
-        if not is_fundamental_discriminant(D):
-            continue
+def _class_number(dmax: int, tol: float, prime_bound: int) -> Generator[str, None, str]:
+    checked, worst = 0, 0.0
+    for D in filter(is_fundamental_discriminant, range(-3, -dmax - 1, -1)):
         res = dirichlet_check(D, prime_bound)
         checked += 1
         worst = max(worst, res["rel_err"])
         if res["rel_err"] > tol:
-            ok = False
-            bad += 1
-            if bad <= 10:
-                lines.append(f"FAIL class-number D={D}: h={res['h']} predicted={res['predicted']:.6f}")
-    lines.append(
-        f"{'PASS' if ok else 'FAIL'} class-number formula on {checked} fundamental discriminants"
+            yield f"FAIL class-number D={D}: h={res['h']} predicted={res['predicted']:.6f}"
+    return (
+        f"class-number formula on {checked} fundamental discriminants"
         f" |D|<={dmax} (worst rel err {worst:.2e}, tol {tol:g})"
     )
-    return ok, lines
 
 
-def _verify_closed_forms() -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
+def _odd_closed_forms() -> Generator[str, None, str]:
     for p in (3, 5, 7, 11, 13):
-        for u in (1, smallest_nonresidue(p)):
-            for which in ("A", "B"):
-                rep = closed_form_report(p, u, which, 11)
-                if not (rep["table_matches"] and rep["printed_matches"]):
-                    ok = False
-                    lines.append(f"FAIL closed-form p={p} u={u} {which}")
-    lines.append(f"{'PASS' if ok else 'FAIL'} odd-p closed forms match enumeration (nu <= 10)")
-    two_ok = True
-    for u in (1, 3, 5, 7):
-        for which in ("A", "B"):
-            rep = closed_form_report(2, u, which, 11)
-            if not rep["table_matches"]:
-                two_ok = False
-                lines.append(f"FAIL p=2 table closed form u={u} {which}")
-            if not rep["printed_matches"]:
-                lines.append(
-                    f"LEDGER p=2 u={u} {which}: as-printed form disagrees with enumeration"
-                    f" at nu={rep['printed_mismatch_at']} (documented discrepancy, not fatal)"
-                )
-    lines.append(f"{'PASS' if two_ok else 'FAIL'} p=2 table closed forms match enumeration")
-    return ok and two_ok, lines
+        for u, which in itertools.product((1, smallest_nonresidue(p)), ("A", "B")):
+            rep = closed_form_report(p, u, which, 11)
+            if not (rep["table_matches"] and rep["printed_matches"]):
+                yield f"FAIL closed-form p={p} u={u} {which}"
+    return "odd-p closed forms match enumeration (nu <= 10)"
+
+
+def _two_adic_closed_forms() -> Generator[str, None, str]:
+    for u, which in itertools.product((1, 3, 5, 7), ("A", "B")):
+        rep = closed_form_report(2, u, which, 11)
+        if not rep["table_matches"]:
+            yield f"FAIL p=2 table closed form u={u} {which}"
+        if not rep["printed_matches"]:
+            yield (
+                f"LEDGER p=2 u={u} {which}: as-printed form disagrees with enumeration"
+                f" at nu={rep['printed_mismatch_at']} (documented discrepancy, not fatal)"
+            )
+    return "p=2 table closed forms match enumeration"
 
 
 def cmd_verify(args) -> int:
     if args.suite in ("decomposition", "siegel"):
         if args.max_det < 1:
             return _fail_usage("--max-det must be at least 1")
-        run = _verify_decomposition if args.suite == "decomposition" else _verify_siegel
-        ok, lines = run(args.max_det)
+        n = args.max_det
+        constrained = f"decomposition constrained ({CONSTRAINED_INSTANCES} instances)"
+        suites = [
+            _decomposition(((S, None) for S in range(1, n + 1)), f"decomposition unconstrained S<=:{n}"),
+            _decomposition(_constrained_cases(n), constrained),
+            _sign_tuples(),
+        ] if args.suite == "decomposition" else [_siegel(n)]
     elif args.suite == "class-number":
         if not (math.isfinite(args.tol) and args.tol > 0):
             return _fail_usage("--tol must be a positive finite number")
@@ -268,11 +263,15 @@ def cmd_verify(args) -> int:
             _l_terms(top, args.prime_bound)
         except ValueError as exc:
             return _fail_usage(f"--dmax {args.dmax}: {exc}")
-        ok, lines = _verify_class_number(args.dmax, args.tol, args.prime_bound)
+        suites = [_class_number(args.dmax, args.tol, args.prime_bound)]
     else:
-        ok, lines = _verify_closed_forms()
-    print("\n".join(lines))
-    return 0 if ok else 1
+        suites = [_odd_closed_forms(), _two_adic_closed_forms()]
+    # written once every verdict is known: a closed stdout keeps the exit code
+    lines: list[str] = []
+    passed = [_verdict(lines, suite) for suite in suites]
+    with _output(None) as out:
+        out.write("\n".join(lines) + "\n")
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -372,18 +372,18 @@ def class_number(D: int) -> int:
 
 
 def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
-    """Compare the census class number against w sqrt(|D|)/(2 pi) L(1, chi_D)."""
-    h = class_number(D)
-    w = mu_order(D)
-    trunc = l_value_truncated(D, prime_bound)
-    predicted = w * math.sqrt(-D) / (2 * math.pi) * trunc.value
+    """Compare the census class number h against w sqrt(|D|)/(2 pi) L(1, chi_D):
+    `total_mass_numeric` at S = -D, h/(2w) against sqrt(S)/(4 pi) L(1, chi_-S), scaled by 2w."""
+    h, w = class_number(D), mu_order(D)
+    numeric = total_mass_numeric(-D, prime_bound)
+    predicted = 2 * w * numeric["rhs"]
     return {
         "D": D,
         "h": h,
         "w": w,
         "predicted": predicted,
         "rel_err": abs(predicted - h) / h,
-        "trunc": trunc,
+        "trunc": numeric["trunc"],
     }
 
 

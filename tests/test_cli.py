@@ -259,6 +259,53 @@ def test_verify_class_number_prints_at_most_10_failures(capsys):
     assert lines[-1].startswith("FAIL class-number formula on ")
 
 
+@pytest.mark.parametrize(
+    "command, name, failing, shown",
+    [
+        (
+            "verify decomposition --max-det 60",
+            "decomposition_check",
+            lambda real: lambda S, cons=None: dict(real(S, cons), equal=not cons),
+            {"decomposition constrained (50 instances)": 10},
+        ),
+        (
+            "verify decomposition --max-det 60",
+            "sign_tuple_identity",
+            lambda real: lambda t, c: False,
+            {"sign-tuple polynomial identity |T|<=4": 8},
+        ),
+        (
+            "verify euler-closed-forms",
+            "closed_form_report",
+            lambda real: lambda *args: dict(real(*args), table_matches=False),
+            {"odd-p closed forms match enumeration (nu <= 10)": 10, "p=2 table closed forms match enumeration": 8},
+        ),
+    ],
+    ids=["constrained", "sign-tuple", "closed-forms"],
+)
+def test_verify_prints_at_most_10_failures_per_verdict(monkeypatch, capsys, command, name, failing, shown):
+    """Every verdict line goes through one capped loop: a planted failure
+    prints at most 10 FAIL lines before its FAIL summary, the other verdicts
+    still pass, and the LEDGER notes of a passing run all stay in place."""
+    _, before, _ = run_cli(capsys, *command.split())
+    titles = [x.removeprefix("PASS ") for x in before.splitlines() if x.startswith("PASS ")]
+    monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 1
+    n, fail_lines = 0, {}  # FAIL lines printed before each summary
+    for line in out.splitlines():
+        verdict, _, title = line.partition(" ")
+        if title in titles:
+            assert verdict == ("FAIL" if title in shown else "PASS"), line
+            fail_lines[title], n = n, 0
+        elif verdict == "FAIL":
+            n += 1
+    assert list(fail_lines) == titles and {t: k for t, k in fail_lines.items() if k} == shown
+    assert [x for x in out.splitlines() if x.startswith("LEDGER")] == [
+        x for x in before.splitlines() if x.startswith("LEDGER")
+    ]
+
+
 def test_verify_class_number(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "class-number", "--dmax", "60", "--tol", "1e-3", "--prime-bound", "100000"
@@ -294,6 +341,23 @@ def test_verify_rejects_non_finite_tol(capsys, tol):
     code, out, err = run_cli(capsys, "verify", "class-number", "--dmax", "20", "--prime-bound", "100", "--tol", tol)
     assert code == 2 and out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "command, code", [("classify --det-range 1:3000", 0), ("verify class-number --dmax 200 --tol 1e-12", 1)]
+)
+def test_closed_stdout_keeps_the_exit_code(command, code):
+    """A reader that stops early is no usage error: no error line, no
+    message from the interpreter's final flush, and the command's own exit
+    code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qfmass.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qfmass.cli", *command.split()],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code and err == b""
 
 
 def test_usage_error_exit_code():
@@ -369,6 +433,8 @@ GOLDEN_SHA256 = {
     "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
         "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"
     ),
+    "verify class-number --dmax 500": "4445fdd66786de3f8dbef877e76c92a112eeb2f93a4dc21804e866e20839b12a",
+    "verify euler-closed-forms": "e26abe5f8de8877ec135b4a3090d65b4a29db54f7ded9758db332363101da03c",
 }
 
 

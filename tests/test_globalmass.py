@@ -440,6 +440,21 @@ def test_dirichlet_check_examples():
     assert res["h"] == 2 and res["w"] == 2 and res["rel_err"] < 1e-3
 
 
+def test_dirichlet_check_is_dirichlets_formula_to_the_bit():
+    """`dirichlet_check` reads the total-mass check of S = -D scaled by 2w;
+    the direct formula w sqrt(|D|)/(2 pi) L(1, chi_D) is its oracle.  The
+    scale 2w is a power of two for w = 2, 4, so both floats keep every bit."""
+    discs = [D for D in range(-3, -3001, -1) if is_fundamental_discriminant(D)]
+    assert len(discs) == 911
+    for D in discs:
+        res = dirichlet_check(D)
+        h, w = res["h"], res["w"]
+        assert type(h) is int and h == class_number(D), D
+        predicted = w * math.sqrt(-D) / (2 * math.pi) * l_value_truncated(D).value
+        assert res["predicted"] == predicted, D
+        assert res["rel_err"] == abs(predicted - h) / h, D
+
+
 def test_mu_order():
     assert mu_order(-3) == 6 and mu_order(-4) == 4 and mu_order(-7) == 2
 
