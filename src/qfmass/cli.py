@@ -124,12 +124,9 @@ def cmd_euler(args) -> int:
         "coeffs": [str(coeff(p, u, nu)) for nu in range(args.terms)],
     }
     if args.closed_form:
-        rep = closed_form_report(p, u, args.which, args.terms)
         obj["closed_form_table"] = _rf_str(closed_form(p, u, args.which, "table"))
         obj["closed_form_as_printed"] = _rf_str(closed_form(p, u, args.which, "as-printed"))
-        obj["table_matches"] = rep["table_matches"]
-        obj["printed_matches"] = rep["printed_matches"]
-        obj["printed_mismatch_at"] = rep["printed_mismatch_at"]
+        obj.update(closed_form_report(p, u, args.which, args.terms))
     with _output(args.out) as out:
         out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0

@@ -18,23 +18,16 @@ from functools import cached_property, lru_cache
 from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
 from .localgenus import LocalGenusSymbol, OddGenusSymbol, enumerate_local_genera, two_adic_symbol
-from .mass import density_ratio
+from .mass import density_product, density_ratio
 
 # ---------------------------------------------------------------------------
 # rational-function arithmetic over Q
 
 
-def _trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(cs)
-    while n > 0 and cs[n - 1] == 0:
-        n -= 1
-    return cs[:n]
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Ratio of polynomials in one indeterminate X with exact rational
-    coefficients, trimmed, with denominator constant term normalized to 1.
+    coefficients: `den[0] == 1`, and the numerator is empty or ends nonzero.
 
     Only the closed forms build these, and no closed-form numerator vanishes
     at a root of its denominator, so no common factor is cancelled.
@@ -43,32 +36,22 @@ class RationalFunction:
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
 
-    @staticmethod
-    def make(num, den=(1,)) -> "RationalFunction":
-        num = _trim(tuple(Fraction(x) for x in num))
-        den = _trim(tuple(Fraction(x) for x in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        scale = den[0] if den[0] != 0 else den[-1]
-        return RationalFunction(tuple(x / scale for x in num), tuple(x / scale for x in den))
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction.make(())
-
     def series(self, terms: int) -> list[Fraction]:
         """First `terms` Taylor coefficients at X = 0 by long division."""
-        if not self.den or self.den[0] == 0:
-            raise ZeroDivisionError("denominator vanishes at X = 0")
         out = []
         rem = list(self.num) + [Fraction(0)] * terms
         for k in range(terms):
-            c = rem[k] / self.den[0]
+            c = rem[k]
             out.append(c)
-            for i, d in enumerate(self.den):
+            for i, d in enumerate(self.den[1:], 1):
                 if k + i < len(rem):
                     rem[k + i] -= c * d
         return out
+
+
+def _row(num, den=(1,)) -> RationalFunction:
+    """A closed-form row written as literals, its entries made `Fraction`s."""
+    return RationalFunction(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +98,31 @@ def closed_form(p: int, u: int, which: str, variant: str = "table") -> RationalF
     if p != 2:
         # both variants agree at odd p
         if which == "A":
-            return RationalFunction.make((1, -x / q**2), (1, -1 / q))
-        return RationalFunction.make((1, 0, -x / q**3), (1, 0, -1 / q**2))
+            return _row((1, -x / q**2), (1, -1 / q))
+        return _row((1, 0, -x / q**3), (1, 0, -1 / q**2))
     g = gamma_factor(u, 2)
     if variant == "as-printed":
         if which == "A":
-            return RationalFunction.make((1, -x / 8), (1, Fraction(-1, 2)))
+            return _row((1, Fraction(-x, 8)), (1, Fraction(-1, 2)))
         if u % 4 == 1:
-            return RationalFunction.zero()
-        return RationalFunction.make((-1, 0, Fraction(1, 2) - x / 8), (1, 0, Fraction(-1, 8)))
+            return _row(())
+        return _row((-1, 0, Fraction(4 - x, 8)), (1, 0, Fraction(-1, 8)))
     if which == "A":
         head = (1, Fraction(-1, 2), g / 4) if u % 4 == 3 else (0, 0, g / 4)
-        return RationalFunction.make(head, (1, Fraction(-1, 2)))
+        return _row(head, (1, Fraction(-1, 2)))
     if u % 4 == 1:
-        return RationalFunction.zero()
-    return RationalFunction.make((-1, 0, Fraction(1, 2) - x / 8), (1, 0, Fraction(-1, 4)))
+        return _row(())
+    return _row((-1, 0, Fraction(4 - x, 8)), (1, 0, Fraction(-1, 4)))
 
 
 def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
-    """Compare pipeline coefficients against both closed-form variants."""
+    """Compare the pipeline coefficients at nu < terms against both
+    closed-form variants, and list the nu where the as-printed one differs."""
     table = closed_form(p, u, which, "table").series(terms)
     printed = closed_form(p, u, which, "as-printed").series(terms)
     coeff = a_coeff if which == "A" else b_coeff
     pipeline = [coeff(p, u, nu) for nu in range(terms)]
     return {
-        "p": p,
-        "unit": u,
-        "which": which,
-        "pipeline": pipeline,
-        "table_variant": table,
-        "as_printed": printed,
         "table_matches": pipeline == table,
         "printed_matches": pipeline == printed,
         "printed_mismatch_at": [i for i in range(terms) if pipeline[i] != printed[i]],
@@ -182,16 +160,8 @@ class GenusRecord:
 
     @cached_property
     def density_product(self) -> tuple[int, int]:
-        """prod over the symbols of beta_gen/beta_G (`density_ratio`), as an
-        unreduced integer pair (numerator, denominator) with a positive
-        denominator: a good odd prime in T has ratio 1, so only p | 2S
-        enters."""
-        n = d = 1
-        for sym in self.symbols.values():
-            r = density_ratio(sym)
-            n *= r.numerator
-            d *= r.denominator
-        return n, d
+        """`mass.density_product` of the symbols; a good odd p has ratio 1."""
+        return density_product(self.symbols)
 
 
 @lru_cache(maxsize=1)

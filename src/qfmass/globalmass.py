@@ -89,11 +89,12 @@ def _char_table(D: int) -> np.ndarray:
     multiplied by the Legendre table (r|p) of each p with odd e (q = p), and
     by one sign table of period q = 8, 4 or 1.  P is divisible by q: the
     (2|r) factor occurs for odd a, where 8 | D or D = 2 (mod 4), and the
-    (-1|r) factor only for even D or D = 3 (mod 4).  The even entries
-    r = 2^k r', r' odd, are then (D|2)^k (D|r'), copied from the odd entries
-    one k at a time for odd D; for D = 1 (mod 4) that rewrites the values
-    the tiling already gave.  For even D, (D|2) = 0, so every even entry is
-    0 and is set in one step.  No P-long index or remainder array is built.
+    (-1|r) factor only for even D or D = 3 (mod 4).  For D = 1 (mod 4) the
+    tiling gives the even entries too: (D|r) = (r| |D|) for every r > 0.
+    For D = 3 (mod 4) the even entries r = 2^k r', r' odd, are (D|2)^k (D|r'),
+    copied from the odd entries one k at a time; for even D, (D|2) = 0, so
+    every even entry is 0 and is set in one step.  No P-long index or
+    remainder array is built.
     (Cohen, A Course in Computational Algebraic Number Theory, 1.4.)
     """
     P = _char_period(D)
@@ -118,7 +119,7 @@ def _char_table(D: int) -> np.ndarray:
     chi_2 = kronecker(D, 2)
     if chi_2 == 0:
         table[::2] = 0
-    else:
+    elif D % 4 == 3:
         odd = table[1::2]
         step, chi_step = 2, chi_2
         while step < P:

@@ -10,8 +10,9 @@ mod-p^k automorphism count `aut_density_mod_pk`, an elementary oracle kept
 out of every hot path, as `count_SO_mod_p` is.
 
 `density_ratio`, the row over the generic density at the same (p, unit), is
-the one memoized value per symbol: the local mass sums, the decomposition
-check and the genus mass ratios all read it.
+the one memoized value per symbol: the local mass sums read it, and so does
+`density_product`, the one product loop behind the decomposition check and
+the genus mass ratios.
 """
 from __future__ import annotations
 
@@ -141,20 +142,27 @@ def aut_density_mod_pk(f: QuadForm, p: int, k: int) -> Fraction:
     return Fraction(count, q)
 
 
+def density_product(symbols: dict[int, LocalGenusSymbol]) -> tuple[int, int]:
+    """prod over the symbols of beta_gen/beta_G (`density_ratio`), as an
+    unreduced pair (numerator, denominator) of positive integers."""
+    n = d = 1
+    for sym in symbols.values():
+        r = density_ratio(sym)
+        n *= r.numerator
+        d *= r.denominator
+    return n, d
+
+
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:
     """Ratio of Siegel masses of two genera with equal determinant, as the
-    product over p | 2 det of their inverse-local-density ratios.
+    ratio of their `density_product`s over p | 2 det.
 
-    It reads the memoized `density_ratio` values: the two genera share the
-    determinant, so at every p their symbols share (p, nu, unit) and hence
-    the generic density, which cancels from each quotient.  The product runs
-    over plain integers, their numerators and denominators, and is reduced
-    once into the returned `Fraction`."""
+    The two genera share the determinant, so at every p their symbols share
+    (p, nu, unit) and hence the generic density, which cancels from the
+    quotient.  The two integer pairs are reduced once into the returned
+    `Fraction`."""
     if set(symbols1) != set(symbols2):
         raise ValueError("genus symbol supports differ")
-    n = d = 1
-    for p in symbols1:
-        a, b = density_ratio(symbols1[p]), density_ratio(symbols2[p])
-        n *= a.numerator * b.denominator
-        d *= a.denominator * b.numerator
-    return Fraction(n, d)
+    n1, d1 = density_product(symbols1)
+    n2, d2 = density_product(symbols2)
+    return Fraction(n1 * d2, d1 * n2)

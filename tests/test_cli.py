@@ -433,6 +433,12 @@ GOLDEN_SHA256 = {
     "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
         "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"
     ),
+    "euler --p 2 --unit 1 --which B --terms 12 --closed-form": (
+        "d493699123f68c998e23b18cafcc9b2a21e2c1491bf2cdd0c06751404745bff4"
+    ),
+    "euler --p 3 --unit 2 --which A --terms 12 --closed-form": (
+        "79ba6e508a1b84cff35f088b99188f99b9fbf70eb666aaa6c9272001c1f1429f"
+    ),
     "verify class-number --dmax 500": "4445fdd66786de3f8dbef877e76c92a112eeb2f93a4dc21804e866e20839b12a",
     "verify euler-closed-forms": "e26abe5f8de8877ec135b4a3090d65b4a29db54f7ded9758db332363101da03c",
 }

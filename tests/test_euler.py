@@ -33,10 +33,19 @@ def nonresidue(p: int) -> int:
 # rational functions
 
 
-def test_rational_function_normalization():
-    rf = RationalFunction.make((2, 4), (2, 2))
-    assert rf.den[0] == 1
-    assert rf.series(3) == [Fraction(1), Fraction(1), Fraction(-1)]
+def test_closed_form_rows_keep_the_invariant():
+    for p in (2, 3, 5, 7, 11, 13):
+        units = (1, 3, 5, 7) if p == 2 else (1, nonresidue(p))
+        for u in units:
+            for which in ("A", "B"):
+                for variant in ("table", "as-printed"):
+                    rf = closed_form(p, u, which, variant)
+                    at = (p, u, which, variant)
+                    assert isinstance(rf, RationalFunction), at
+                    assert rf.den[0] == 1, at
+                    assert all(type(c) is Fraction for c in rf.num + rf.den), at
+                    assert not rf.num or rf.num[-1] != 0, at
+                    assert all(type(c) is Fraction for c in rf.series(6)), at
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +350,7 @@ def test_density_product_is_computed_once_per_genus(monkeypatch):
         calls.append(sym)
         return density_ratio(sym)
 
-    monkeypatch.setattr(euler, "density_ratio", counting)
+    monkeypatch.setattr("qfmass.mass.density_ratio", counting)
     for S in (231, 1560, 4620):
         for _ in range(2):  # the first round fills the memo of `_ab_coeff`
             genus_partition.cache_clear()

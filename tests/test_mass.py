@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -234,6 +235,21 @@ def test_genus_mass_ratio_rejects_mismatch():
     g32 = genus_census(32).genera[0]
     with pytest.raises(ValueError):
         genus_mass_ratio(g23.symbols, g32.symbols)
+
+
+def test_genus_mass_ratio_is_the_ratio_of_the_density_products():
+    # every genus of S has the same density product, since beta_p reads only
+    # (p, nu, unit): each ratio is 1, so `verify siegel` checks the grouping
+    for S in range(1, 2001):
+        genera = genus_partition(S)
+        for g1, g2 in itertools.product(genera, repeat=2):
+            (n1, d1), (n2, d2) = g1.density_product, g2.density_product
+            ratio = genus_mass_ratio(g1.symbols, g2.symbols)
+            assert ratio == Fraction(n1 * d2, d1 * n2) == 1, S
+    # supports {2, 23} and {2, 7}: as many primes, not the same ones
+    g23, g7 = genus_partition(23)[0], genus_partition(7)[0]
+    with pytest.raises(ValueError):
+        genus_mass_ratio(g23.symbols, g7.symbols)
 
 
 def test_density_ratio_table_values():

@@ -116,6 +116,29 @@ MUTANTS = (
         "2 * w if b == 0 or a == c else w",
         frozenset(),
     ),
+    Mutant(
+        "series ignores the denominator's X^2 term",
+        "euler.py",
+        "enumerate(self.den[1:], 1)",
+        "enumerate(self.den[1:2], 1)",
+        frozenset({"euler-closed-forms"}),
+    ),
+    Mutant(
+        "density_product drops one symbol",
+        "mass.py",
+        "    for sym in symbols.values():\n",
+        "    for sym in list(symbols.values())[1:]:\n",
+        frozenset({"decomposition"}),
+    ),
+    # every genus of one S has the same density product, so each Siegel
+    # ratio is 1 and an inverted one is 1 too
+    Mutant(
+        "genus_mass_ratio inverted",
+        "mass.py",
+        "return Fraction(n1 * d2, d1 * n2)",
+        "return Fraction(d1 * n2, n1 * d2)",
+        frozenset(),
+    ),
 )
 
 
