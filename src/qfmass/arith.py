@@ -3,8 +3,9 @@ Hilbert symbols, and local squareclasses of Q_p.
 
 All results are exact (int / Fraction).  The functions are pure, except
 that the module keeps one fixed sieve of the primes < 10^6 per process
-(`primes_below()`) and memoizes `is_prime`; both caches change only speed
-and memory, never a result.
+(`primes_below()`, a tuple of Python ints built from an odd-only numpy
+bitmap) and memoizes `is_prime`; both caches change only speed and memory,
+never a result.
 """
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import count
 from math import isqrt
+
+import numpy as np
 
 # Marker for the real place of Q in hilbert_symbol().
 OO = float("inf")
@@ -24,17 +27,32 @@ _FACTOR_LIMIT = _PRIME_LIMIT**2
 
 @lru_cache(maxsize=1)
 def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
-    """All primes < limit, by sieve of Eratosthenes.
+    """All primes < limit, by sieve of Eratosthenes, as a tuple of Python
+    ints (never numpy integers, which would overflow in `p**nu`).
 
-    Each cache miss is one sieve build.  The library reads only the default
-    sieve, the primes < 10^6, so a process builds it once.
+    The sieve is an odd-only numpy bool bitmap: entry i stands for 2i + 1.
+    Its entry 0, the number 1, is left set and read back as the prime 2.
+    The primes are read off it with `np.flatnonzero`, so no int is built for
+    a composite, and the bitmap and the index array are freed before the
+    tuple is built: the build holds no more than the tuple, its ints and
+    one list of them.  Each cache miss is one sieve build.  The library
+    reads only the default sieve, the primes < 10^6, so a process builds it
+    once.
     """
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return tuple(compress(range(limit), sieve))
+    if limit <= 2:
+        return ()
+    odd = np.ones(limit // 2, dtype=bool)  # 1, 3, ..., the largest odd < limit
+    for p in range(3, isqrt(limit - 1) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    idx = np.flatnonzero(odd)
+    del odd
+    idx *= 2
+    idx += 1
+    idx[0] = 2
+    ps = idx.tolist()
+    del idx
+    return tuple(ps)
 
 
 @lru_cache(maxsize=1024)

@@ -54,7 +54,9 @@ def genus_census(S: int) -> GenusReport:
 
 # Most terms an L-value may use.  M terms cost 8 M bytes: the float64 array
 # 1/m, which `_M_TERMS` keeps at the largest M so far (rounded up, see
-# `_M_TERMS_STEP`), so at most 80 MB stay held between L-values.
+# `_M_TERMS_STEP`), so at most 80 MB stay held between L-values, beside a
+# work buffer of at most 8 MB (2^20 entries, as P <= M / 10, see
+# `_Reciprocals`).
 L_TERMS_MAX = 10**7
 
 
@@ -63,11 +65,14 @@ def _char_period(D: int) -> int:
 
 
 def _legendre_table(p: int) -> np.ndarray:
-    """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares mod p."""
+    """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares mod p,
+    taken in place in one int64 array of (p - 1)/2 entries."""
     leg = np.full(p, -1, dtype=np.int8)
     leg[0] = 0
-    i = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    leg[i * i % p] = 1
+    sq = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    sq *= sq
+    sq %= p
+    leg[sq] = 1
     return leg
 
 
@@ -160,8 +165,8 @@ class LTruncation:
     One period.  Since T has period P and T(0) = 0, T(M) = T(M mod P), and
     T_bar, B and T(M) are all read from one period of chi.  The value needs
     two integers of the period: T(M), a partial sum of chi, and
-    sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), an exact
-    int64 dot product.  The character sum is a one-period sum as well:
+    sum T = (P + 1) T(P) - sum_{r<=P} r chi(r) = -sum r chi(r), exact in
+    integers (`_index_sum`).  The character sum is a one-period sum as well:
     chi(m) depends only on m mod P, so
         sum_{m<=M} chi(m)/m = sum_{r<=P} chi(r) w_r,
         w_r = sum_{m<=M, m = r (mod P)} 1/m,
@@ -174,6 +179,13 @@ class LTruncation:
     whether 1/m comes fresh or from the kept array of a longer earlier call.
     It is not bit-identical to the M-term dot product chi(1..M) . 1/m, which
     sums in another order; both lie within e2 of the exact sum.
+
+    The value allocates no float64 or int64 array of P or M entries: the
+    period weights are summed into the one work buffer kept beside 1/m
+    (`_Reciprocals`), and sum r chi(r) is taken from row and column sums of
+    the int8 table.  An array that size, allocated and freed on every call,
+    sits above glibc's mmap threshold once P passes about 1.25 10^5, and
+    would then be mapped fresh and page-faulted on every L-value.
 
     The bound needs B, and so all P partial sums T(1), ..., T(P), which the
     value does not.  `error_estimate` is therefore computed when read: each
@@ -239,20 +251,30 @@ _ROW_TERMS_MIN = 2**12
 
 
 class _Reciprocals:
-    """1/1, ..., 1/N for N at least the largest M asked for.
+    """1/1, ..., 1/N for N at least the largest M asked for, and one float64
+    work buffer for the period weights of an L-value.
 
-    The array is kept across L-values, so a call that needs no more terms
-    than an earlier one computes no reciprocal and touches no fresh page.
-    On growth the old array is dropped before the new one is allocated, so
-    the two are never held at once.  Calls from several threads at once
-    could race on a growth; the package makes none.
+    Both arrays are kept across L-values and grow only, so a call that
+    needs no more than an earlier one computes no reciprocal and touches no
+    fresh page.  1/m grows to a multiple of `_M_TERMS_STEP` entries, the
+    work buffer to a power of two, so the P of a run grow it a few times at
+    most.  The work buffer holds the L period-weight sums (L = P for
+    P >= 2^12), plus P for their fold when L > P: 8 bytes times the largest
+    P so far, at most doubled, so 1 MB at P = 10^5, 8 MB at P = 10^6 and
+    128 KB for any P < 2^12; only the entries a call writes are ever paged
+    in.  Its content is whatever the last call left; the kernel overwrites
+    every entry it reads.  On growth the old array is dropped before the new one
+    is allocated, so the two are never held at once.  Calls from several
+    threads at once could race on a growth or on the work buffer; the
+    package makes none.
     """
 
     def __init__(self) -> None:
         self.inv = np.empty(0)
+        self.work = np.empty(0)
 
     def view(self, M: int) -> np.ndarray:
-        """The first M entries, grown first if shorter than M
+        """The first M entries of 1/m, grown first if shorter than M
         (M <= L_TERMS_MAX, as `_l_terms` checks)."""
         if M > len(self.inv):
             N = min(-(-M // _M_TERMS_STEP) * _M_TERMS_STEP, L_TERMS_MAX)
@@ -261,8 +283,35 @@ class _Reciprocals:
             np.divide(1.0, self.inv, out=self.inv)
         return self.inv[:M]
 
+    def scratch(self, n: int) -> np.ndarray:
+        """The first n entries of the work buffer, grown first if shorter."""
+        if n > len(self.work):
+            self.work = np.empty(0)
+            self.work = np.empty(1 << (n - 1).bit_length())
+        return self.work[:n]
+
 
 _M_TERMS = _Reciprocals()
+
+
+def _index_sum(table: np.ndarray) -> int:
+    """sum r table[r] over 0 <= r < P, exactly, with no P-long array.
+
+    With W = 2^12, r = W i + j over the (P // W, W) view of the int8 table,
+    so its part of the sum is W sum i (row sum i) + sum j (column sum j);
+    the tail r >= W (P // W), fewer than W entries, is one direct dot.  A
+    row sum is at most W and a column sum at most P // W <= 244 in size
+    (P <= L_TERMS_MAX / 10), so both are summed in int16, and the products
+    in int64."""
+    W = 2**12
+    P = len(table)
+    Q = P // W
+    total = int(np.dot(table[Q * W :], np.arange(Q * W, P)))
+    if Q:
+        rows = table[: Q * W].reshape(Q, W)
+        total += W * int(np.dot(rows.sum(1, dtype=np.int16), np.arange(Q)))
+        total += int(np.dot(rows.sum(0, dtype=np.int16), np.arange(W)))
+    return total
 
 
 def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
@@ -280,8 +329,13 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     the one M-term operation.  It reads 1/m from an array kept across calls
     (`_Reciprocals`, 8 bytes per term of the largest M so far, rounded up
     to a multiple of `_M_TERMS_STEP`, at most 80 MB), first adding rows of
-    L terms, L a whole number of periods, then folding the L sums into P.
-    No BLAS call is made, so the value does not depend on the BLAS thread
+    L terms, L a whole number of periods, then folding the L sums into P
+    (skipped when L = P, where the one row is its own sum).  Both sums
+    write into the work buffer kept beside 1/m, so no float64 or int64
+    array of P or M entries is allocated per call (see `LTruncation`); the
+    largest per-call arrays are the int8 table and, for a prime p | D with
+    odd exponent, the (p - 1)/2 squares mod p of its Legendre table.  No
+    BLAS call is made, so the value does not depend on the BLAS thread
     count.  The proven bound `error_estimate` is computed when read, not
     here; each read rebuilds the character table and takes its P partial
     sums.
@@ -292,17 +346,19 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     # chi_D is nonprincipal (D < 0), so T(P) = 0 and T has period P; and
     # table[0] = chi_D(P) = 0, as gcd(D, P) > 1
     assert int(table.sum(dtype=np.int64)) == 0, D
-    # sum T = -sum r chi(r) (see `LTruncation`): numpy's integer dot, exact
-    # and not BLAS, so the same at any thread count
-    T_mean = -int(np.dot(table[1:].astype(np.int64), np.arange(1, P, dtype=np.int64))) / P
+    # sum T = -sum r chi(r) (see `LTruncation`), exact in integers
+    T_mean = -_index_sum(table) / P
     T_M = int(table[1 : M % P + 1].sum(dtype=np.int64))
-    # w_r: K rows of L terms, then the tail, then the L sums folded into P
+    # w_r: K rows of L terms, then the tail, then the L sums folded into P,
+    # all in the kept work buffer (K = 0 leaves its L entries zero)
     inv = _M_TERMS.view(M)
     L = P * -(-_ROW_TERMS_MIN // P)
     K = M // L
-    wl = inv[: K * L].reshape(K, L).sum(0)
+    work = _M_TERMS.scratch(L if L == P else L + P)
+    wl = np.add.reduce(inv[: K * L].reshape(K, L), axis=0, out=work[:L])
     wl[: M - K * L] += inv[K * L :]
-    w = wl.reshape(-1, P).sum(0)  # w[j] weighs chi(j + 1)
+    # w[j] weighs chi(j + 1)
+    w = wl if L == P else np.add.reduce(wl.reshape(-1, P), axis=0, out=work[L:])
     np.multiply(w[:-1], table[1:], out=w[:-1])
     w[-1] = 0.0  # chi(P) = table[0] = 0
     partial = float(w.sum())

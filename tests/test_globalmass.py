@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,11 +193,22 @@ def test_l_value_is_within_rounding_of_the_correctly_rounded_sum(D):
 
 
 def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
-    # M = 999960, 10^4, 1049990, 10^5, 999960, 10^5, the third past the
+    # M = 999960, 10^4, 1049990, 100, 10^5, 999960, 10^5, the third past the
     # first's 16 * 2^16 kept terms: a shorter call after a longer one must
     # take the right slice of the kept 1/m, and give the value it gives with
-    # a kept array of its own length
-    calls = [(-99996, 10**5), (-1000, 100), (-104999, 10**5), (-3, 10**5), (-99996, 10**5), (-23, 10**5)]
+    # kept arrays of its own.  The P < 2^12 calls fold rows of L > P period
+    # weights in the work buffer that a large-P call has just filled; at
+    # (-3, 100), with L = 4098 > M, no full row exists and all L weights but
+    # the first M must come out 0, not stale
+    calls = [
+        (-99996, 10**5),
+        (-1000, 100),
+        (-104999, 10**5),
+        (-3, 100),
+        (-3, 10**5),
+        (-99996, 10**5),
+        (-23, 10**5),
+    ]
     alone = {}
     for D, bound in calls:
         monkeypatch.setattr(globalmass, "_M_TERMS", globalmass._Reciprocals())
@@ -207,6 +219,24 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
         assert_matches_reference(trunc, D, bound)
         assert trunc.value == alone[D, bound], (D, bound)
     assert len(globalmass._M_TERMS.inv) == 17 * globalmass._M_TERMS_STEP
+    # one P-long work buffer, for the largest P = 104999, rounded up
+    assert len(globalmass._M_TERMS.work) == 2**17
+
+
+def test_l_value_allocates_no_period_long_array():
+    # after a warm call the kept arrays are long enough: the int8 table
+    # (P bytes) is then the largest allocation; a float64 or int64 array of
+    # P entries alone would be 8 P
+    D = -99996
+    P = _char_period(D)
+    l_value_truncated(D)
+    tracemalloc.start()
+    try:
+        l_value_truncated(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * P
 
 
 @pytest.mark.parametrize(
