@@ -10,11 +10,11 @@ never a result.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,20 +216,27 @@ def gamma_factor(u: int, p: int) -> Fraction:
 QR, NQR = 1, -1
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
-    """Element of SqCl(Q_p^x, Z_p^x): a valuation and a unit-class tag."""
-
+class _SquareClassFields(NamedTuple):
     p: int
     val: int
     unit: int
 
-    def __post_init__(self):
-        if self.p == 2:
-            if self.unit % 8 != self.unit or self.unit % 2 == 0:
+
+class LocalSquareClass(_SquareClassFields):
+    """Element of SqCl(Q_p^x, Z_p^x): a valuation and a unit-class tag, held
+    as the int triple (p, val, unit), so it compares, hashes and unpacks as
+    that tuple.  The constructor checks the tag; the inherited `_make` and
+    `_replace` do not, and the package never calls them."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, val: int, unit: int) -> "LocalSquareClass":
+        if p == 2:
+            if unit % 8 != unit or unit % 2 == 0:
                 raise ValueError("unit tag at 2 must be one of 1, 3, 5, 7")
-        elif self.unit not in (QR, NQR):
+        elif unit not in (QR, NQR):
             raise ValueError("unit tag at odd p must be +1 or -1")
+        return tuple.__new__(cls, (p, val, unit))
 
     def __mul__(self, other: "LocalSquareClass") -> "LocalSquareClass":
         if self.p != other.p:
@@ -247,6 +254,4 @@ class LocalSquareClass:
             raise ValueError(f"{p} is not prime")
         v = _valuation(m, p)
         u = m // p**v if m > 0 else -((-m) // p**v)
-        if p == 2:
-            return LocalSquareClass(2, v, u % 8)
-        return LocalSquareClass(p, v, kronecker(u, p))
+        return LocalSquareClass(p, v, u % 8 if p == 2 else kronecker(u, p))

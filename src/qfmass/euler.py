@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
@@ -24,10 +24,10 @@ from .mass import density_product, density_ratio
 # rational-function arithmetic over Q
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Ratio of polynomials in one indeterminate X with exact rational
     coefficients: `den[0] == 1`, and the numerator is empty or ends nonzero.
+    Held as the pair (num, den) of coefficient tuples, lowest degree first.
 
     Only the closed forms build these, and no closed-form numerator vanishes
     at a root of its denominator, so no common factor is cancelled.
@@ -133,20 +133,25 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 # the global decomposition identity
 
 
-@dataclass(frozen=True)
 class GenusRecord:
     """One genus of primitive proper classes of a determinant: its classes as
     the class source hands them over, `QuadForm`s in (a, b, c) order, with its
     local symbols (each carrying its Hasse label) at p | 2S and its mass.
     `aut_orders` is computed when read; only `classify`, the tests and the
     demos read it.  `density_product` is computed when first read and then
-    kept; only `decomposition_check` reads it.  Records are shared through
-    the `genus_partition` memo, so no caller may mutate one.
+    kept in a slot of the record; only `decomposition_check` reads it.  A
+    plain class with slots, not a tuple, so that it can keep the product.
+    Records are shared through the `genus_partition` memo, so no caller may
+    mutate one.
     """
 
-    classes: tuple[QuadForm, ...]
-    symbols: dict[int, LocalGenusSymbol]
-    mass: Fraction  # sum over the classes of 1/(2 |proper Aut|)
+    __slots__ = ("classes", "symbols", "mass", "_density_product")
+
+    def __init__(self, classes: tuple[QuadForm, ...], symbols: dict[int, LocalGenusSymbol], mass: Fraction) -> None:
+        self.classes = classes
+        self.symbols = symbols
+        self.mass = mass  # sum over the classes of 1/(2 |proper Aut|)
+        self._density_product: tuple[int, int] | None = None
 
     @property
     def aut_orders(self) -> list[int]:
@@ -158,10 +163,12 @@ class GenusRecord:
         w = mu_order(b * b - 4 * a * c)
         return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.classes]
 
-    @cached_property
+    @property
     def density_product(self) -> tuple[int, int]:
         """`mass.density_product` of the symbols; a good odd p has ratio 1."""
-        return density_product(self.symbols)
+        if self._density_product is None:
+            self._density_product = density_product(self.symbols)
+        return self._density_product
 
 
 @lru_cache(maxsize=1)
@@ -236,7 +243,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         for p, d in zip(odd, local):
             symbols[p] = OddGenusSymbol(p, d.val, d.unit, NQR if key & bit else QR)
             bit <<= 1
-        records.append(GenusRecord(classes=tuple(classes), symbols=symbols, mass=Fraction(len(classes), 2 * w)))
+        records.append(GenusRecord(tuple(classes), symbols, Fraction(len(classes), 2 * w)))
     return tuple(records)
 
 
@@ -269,11 +276,14 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
 
     ln, ld = 0, 1
     for rec in genus_partition(S):
-        # good primes carry label +1
-        if any((rec.symbols[p].label if p in rec.symbols else 1) != want for p, want in constraints.items()):
-            continue
-        n, d = rec.density_product
-        ln, ld = ln * d + n * ld, ld * d
+        symbols = rec.symbols
+        for p, want in constraints.items():
+            # good primes carry label +1
+            if (symbols[p].label if p in symbols else 1) != want:
+                break
+        else:
+            n, d = rec.density_product
+            ln, ld = ln * d + n * ld, ld * d
 
     eps_infty = 1  # positive-definite binary forms
     C = eps_infty * (-1 if S % 2 else 1)

@@ -13,9 +13,8 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -26,8 +25,9 @@ from .forms import QuadForm, class_count, mu_order
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class GenusReport:
+class GenusReport(NamedTuple):
+    """The census of one determinant: its genus records and total mass."""
+
     det: int
     genera: list[GenusRecord]
     total_mass: Fraction
@@ -64,15 +64,24 @@ def _char_period(D: int) -> int:
     return abs(D) if D % 4 in (0, 1) else 4 * abs(D)
 
 
+# The squares mod p of a Legendre table are taken this many at a time: one
+# int64 block of 128 KiB, where all (p - 1)/2 at once would be 4 p bytes.
+_SQUARE_BLOCK = 2**14
+
+
 def _legendre_table(p: int) -> np.ndarray:
-    """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares mod p,
-    taken in place in one int64 array of (p - 1)/2 entries."""
+    """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares r^2 mod p
+    of r = 1, ..., (p - 1)/2, taken in place in int64 blocks of
+    `_SQUARE_BLOCK` entries, one block held at a time."""
     leg = np.full(p, -1, dtype=np.int8)
     leg[0] = 0
-    sq = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    sq *= sq
-    sq %= p
-    leg[sq] = 1
+    half = (p + 1) // 2
+    for lo in range(1, half, _SQUARE_BLOCK):
+        sq = np.arange(lo, min(lo + _SQUARE_BLOCK, half), dtype=np.int64)
+        sq *= sq
+        sq %= p
+        leg[sq] = 1
+        del sq  # freed before the next block is allocated
     return leg
 
 
@@ -135,12 +144,13 @@ def _char_table(D: int) -> np.ndarray:
     return table
 
 
-@dataclass
-class LTruncation:
+class LTruncation(NamedTuple):
     """Truncated evaluation of L(1, (D|.)) = prod (1 - (D|p)/p)^-1.
 
     `value` is the Abel-summed character sum over M = `prime_bound` terms;
     `error_estimate` = e1 + e2 is a proven bound on |value - L(1, chi_D)|.
+    Held as the tuple (D, prime_bound, value); `error_estimate` is a
+    property, computed when read (see below).
 
     Truncation, e1.  Let T(m) = sum_{n<=m} chi(n) and T_bar its mean over a
     period P.  For D < 0, D != 3 (mod 4), chi_D is a nonprincipal character
@@ -334,11 +344,11 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     write into the work buffer kept beside 1/m, so no float64 or int64
     array of P or M entries is allocated per call (see `LTruncation`); the
     largest per-call arrays are the int8 table and, for a prime p | D with
-    odd exponent, the (p - 1)/2 squares mod p of its Legendre table.  No
-    BLAS call is made, so the value does not depend on the BLAS thread
-    count.  The proven bound `error_estimate` is computed when read, not
-    here; each read rebuilds the character table and takes its P partial
-    sums.
+    odd exponent, its p-entry int8 Legendre table, whose squares mod p are
+    taken in blocks of `_SQUARE_BLOCK`.  No BLAS call is made, so the value
+    does not depend on the BLAS thread count.  The proven bound
+    `error_estimate` is computed when read, not here; each read rebuilds the
+    character table and takes its P partial sums.
     """
     M = _l_terms(D, prime_bound)
     table = _char_table(D)

@@ -21,9 +21,8 @@ underlying spaces.  The global bookkeeping compensates; see euler.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arith import (
     NQR,
@@ -54,11 +53,11 @@ def shape_for_nu(nu: int) -> str:
     raise ValueError(f"no rank-2 shape with ord_2(det) = {nu}")
 
 
-@dataclass(frozen=True)
-class OddGenusSymbol:
+class OddGenusSymbol(NamedTuple):
     """Jordan symbol at an odd prime of the primitive form <t> + <p^nu u t>:
     `unit` u is the class of det_H / p^nu and `tag` t the class of the p-unit
-    coefficient a, or c when p | a.  At nu = 0 the tag is QR."""
+    coefficient a, or c when p | a.  At nu = 0 the tag is QR.  Held as the
+    int tuple (p, nu, unit, tag): it compares and hashes as that tuple."""
 
     p: int
     nu: int
@@ -75,10 +74,11 @@ class OddGenusSymbol:
         return self.tag if self.nu % 2 else 1
 
 
-@dataclass(frozen=True)
-class TwoAdicGenusSymbol:
+class TwoAdicGenusSymbol(NamedTuple):
     """2-adic invariant: ord_2(det), determinant unit mod 8, Hasse label c_2,
-    and (for scale gaps >= 2) the leading-block unit class."""
+    and (for scale gaps >= 2) the leading-block unit class.  Held as the
+    tuple (nu, unit, label, lead_unit, 2): five entries, so it never equals
+    an `OddGenusSymbol`, which has four."""
 
     nu: int
     unit: int

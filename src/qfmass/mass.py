@@ -66,7 +66,8 @@ def generic_density_inverse(p: int, u) -> Fraction:
 def density_ratio(g: LocalGenusSymbol) -> Fraction:
     """beta_generic / beta_G at the symbol's prime: the normalized density
     entering the local mass sums.  Memoized per symbol, the only density
-    memo: symbols are frozen and the value reads only their fields."""
+    memo: a symbol is an immutable tuple that hashes as its fields, and the
+    value reads only those fields."""
     return local_density_inverse(g) / generic_density_inverse(g.p, g.unit_rep())
 
 

@@ -369,9 +369,37 @@ def test_local_squareclass_tags():
     with pytest.raises(ValueError):
         LocalSquareClass(2, 0, 2)
     with pytest.raises(ValueError):
+        LocalSquareClass(2, 1, 6)
+    with pytest.raises(ValueError):
         LocalSquareClass(3, 0, 3)
+    with pytest.raises(ValueError):
+        LocalSquareClass(3, 1, 5)
     assert LocalSquareClass.of(12, 2) == LocalSquareClass(2, 2, 3)
     assert LocalSquareClass.of(12, 3) == LocalSquareClass(3, 1, legendre(4, 3))
+
+
+def test_local_squareclass_of_equals_the_validating_constructor():
+    # the constructor, fed the valuation and the unit tag computed here by
+    # other means, builds the same square class as `of`
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 3000):
+            for n in (m, -m):
+                v = valuation(n, p)
+                u = n // p**v
+                expected = LocalSquareClass(p, v, u % 8 if p == 2 else legendre(u, p))
+                got = LocalSquareClass.of(n, p)
+                assert type(got) is LocalSquareClass and got == expected, (n, p)
+
+
+def test_local_squareclass_is_an_immutable_triple():
+    x = LocalSquareClass.of(360, 2)
+    assert repr(x) == "LocalSquareClass(p=2, val=3, unit=5)"
+    assert x == (2, 3, 5) and hash(x) == hash((2, 3, 5))
+    p, val, unit = x
+    assert (p, val, unit) == (x.p, x.val, x.unit)
+    with pytest.raises(AttributeError):
+        x.unit = 1
+    assert not hasattr(x, "__dict__")
 
 
 def test_local_squareclass_of_negative_integers():

@@ -48,6 +48,14 @@ def test_closed_form_rows_keep_the_invariant():
                     assert all(type(c) is Fraction for c in rf.series(6)), at
 
 
+def test_rational_function_is_an_immutable_pair():
+    rf = closed_form(5, 1, "A")
+    num, den = rf
+    assert (num, den) == (rf.num, rf.den) == ((1, Fraction(-1, 25)), (1, Fraction(-1, 5)))
+    with pytest.raises(AttributeError):
+        rf.num = ()
+
+
 # ---------------------------------------------------------------------------
 # normalized mass sums M~^+- = (A +- B)/2 and coefficients
 

@@ -225,18 +225,19 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
 
 def test_l_value_allocates_no_period_long_array():
     # after a warm call the kept arrays are long enough: the int8 table
-    # (P bytes) is then the largest allocation; a float64 or int64 array of
-    # P entries alone would be 8 P
-    D = -99996
-    P = _char_period(D)
-    l_value_truncated(D)
-    tracemalloc.start()
-    try:
+    # (P bytes) is then the largest allocation, beside the P-byte Legendre
+    # table at a prime P; a float64 or int64 array of P entries alone would
+    # be 8 P, and all (P - 1)/2 squares mod P in one int64 array 4 P
+    for D in (-99996, -300007):
+        P = _char_period(D)
         l_value_truncated(D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * P
+        tracemalloc.start()
+        try:
+            l_value_truncated(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * P, D
 
 
 @pytest.mark.parametrize(
@@ -279,6 +280,15 @@ def test_l_error_bound_is_computed_when_read(monkeypatch):
     trunc = l_value_truncated(-99996)
     assert calls == []
     assert trunc.error_estimate == _l_value_reference(-99996, 10**5)[1]
+
+
+def test_l_truncation_is_an_immutable_triple():
+    trunc = l_value_truncated(-23)
+    D, M, value = trunc
+    assert (D, M, value) == (trunc.D, trunc.prime_bound, trunc.value) and (D, M) == (-23, 10**5)
+    for field in ("D", "prime_bound", "value"):
+        with pytest.raises(AttributeError):
+            setattr(trunc, field, 0)
 
 
 def test_reports_never_read_the_l_error_bound(monkeypatch, capsys):

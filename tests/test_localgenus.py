@@ -95,6 +95,18 @@ def test_genus_symbol_2_examples():
     assert sym.label == hasse_invariant(QuadForm(1, 0, 2), 2) == 1
 
 
+def test_symbols_are_immutable_tuples():
+    odd = jordan_split_odd(QuadForm(1, 1, 1), 3)
+    two = genus_symbol_2(QuadForm(1, 1, 2))
+    assert repr(odd) == "OddGenusSymbol(p=3, nu=1, unit=1, tag=1)"
+    assert repr(two) == "TwoAdicGenusSymbol(nu=0, unit=7, label=-1, lead_unit=None, p=2)"
+    assert odd == (3, 1, 1, 1) and two == (0, 7, -1, None, 2)
+    assert TwoAdicGenusSymbol(0, 7, -1, None) == two
+    for sym, field in ((odd, "tag"), (odd, "p"), (two, "label"), (two, "p")):
+        with pytest.raises(AttributeError):
+            setattr(sym, field, 1)
+
+
 def test_shape_is_determined_by_nu():
     assert shape_for_nu(0) == SHAPE_BAR2
     assert shape_for_nu(2) == SHAPE_I2

@@ -139,6 +139,15 @@ MUTANTS = (
         "return Fraction(d1 * n2, n1 * d2)",
         frozenset(),
     ),
+    # an odd unit mod 4 is 1 or 3, still a valid tag at 2, so only the
+    # suites that read the 2-adic square class can see it
+    Mutant(
+        "LocalSquareClass.of reads the 2-adic unit mod 4",
+        "arith.py",
+        "u % 8 if p == 2",
+        "u % 4 if p == 2",
+        frozenset({"decomposition", "siegel", "euler-closed-forms"}),
+    ),
 )
 
 
