@@ -133,25 +133,19 @@ def closed_form_report(p: int, u: int, which: str, terms: int = 12) -> dict:
 # the global decomposition identity
 
 
-class GenusRecord:
+class GenusRecord(NamedTuple):
     """One genus of primitive proper classes of a determinant: its classes as
     the class source hands them over, `QuadForm`s in (a, b, c) order, with its
-    local symbols (each carrying its Hasse label) at p | 2S and its mass.
-    `aut_orders` is computed when read; only `classify`, the tests and the
-    demos read it.  `density_product` is computed when first read and then
-    kept in a slot of the record; only `decomposition_check` reads it.  A
-    plain class with slots, not a tuple, so that it can keep the product.
-    Records are shared through the `genus_partition` memo, so no caller may
-    mutate one.
+    local symbols (each carrying its Hasse label) at p | 2S and its mass, sum
+    over the classes of 1/(2 |proper Aut|).  `aut_orders` is computed when
+    read; only `classify`, the tests and the demos read it.  Records are
+    shared through the `genus_partition` memo, so no caller may mutate the
+    symbols dict.
     """
 
-    __slots__ = ("classes", "symbols", "mass", "_density_product")
-
-    def __init__(self, classes: tuple[QuadForm, ...], symbols: dict[int, LocalGenusSymbol], mass: Fraction) -> None:
-        self.classes = classes
-        self.symbols = symbols
-        self.mass = mass  # sum over the classes of 1/(2 |proper Aut|)
-        self._density_product: tuple[int, int] | None = None
+    classes: tuple[QuadForm, ...]
+    symbols: dict[int, LocalGenusSymbol]
+    mass: Fraction
 
     @property
     def aut_orders(self) -> list[int]:
@@ -162,13 +156,6 @@ class GenusRecord:
         a, b, c = self.classes[0]
         w = mu_order(b * b - 4 * a * c)
         return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.classes]
-
-    @property
-    def density_product(self) -> tuple[int, int]:
-        """`mass.density_product` of the symbols; a good odd p has ratio 1."""
-        if self._density_product is None:
-            self._density_product = density_product(self.symbols)
-        return self._density_product
 
 
 @lru_cache(maxsize=1)
@@ -186,7 +173,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     only enumeration behind the census.  The classes come from the class
     source `reduced_classes` as (a, b, c) int triples in `abc` order, kept
     within and across genera.  Memoized for the latest S: the census and
-    both decomposition checks of one S share one build.
+    both decomposition checks of one S share one build.  A record holds no
+    density product; `decomposition_check` forms it where it reads it.
 
     A genus is its tuple of local symbols at p | 2S, and classes are grouped
     by that tuple, read off plain ints: the census builds no form,
@@ -260,13 +248,13 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     Both sides are accumulated as unreduced integer pairs (numerator,
     denominator) from the numerators and denominators of the memoized
     `density_ratio` and `_ab_coeff` values, so no gcd is taken per multiply
-    or add; each genus's product is `GenusRecord.density_product`, kept on
-    the shared record.  Every denominator is positive, so
-    cross-multiplication decides `equal`; `lhs` and `rhs` are then built as
-    one reduced `Fraction` each.  S's split at p | 2S comes from
-    `_local_split`, shared with the census.
+    or add; each genus's product is `mass.density_product` of its symbols,
+    the one product loop.  Every denominator is positive, so
+    cross-multiplication decides `equal`.  Returns {"lhs", "rhs", "equal"},
+    with `lhs` and `rhs` as one reduced `Fraction` each.  S's split at
+    p | 2S comes from `_local_split`, shared with the census.
     """
-    constraints = dict(hasse_constraints or {})
+    constraints = hasse_constraints or {}
     if any(eps not in (1, -1) for eps in constraints.values()):
         raise ValueError("eps must be +-1")
     split = _local_split(S)
@@ -282,7 +270,7 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
             if (symbols[p].label if p in symbols else 1) != want:
                 break
         else:
-            n, d = rec.density_product
+            n, d = density_product(symbols)
             ln, ld = ln * d + n * ld, ld * d
 
     eps_infty = 1  # positive-definite binary forms
@@ -304,14 +292,7 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     # rhs = K (prod A + C prod B) / 2
     rn = kn * (an * bd + C * bn * ad)
     rd = 2 * kd * ad * bd
-    return {
-        "det": S,
-        "constraints": constraints,
-        "lhs": Fraction(ln, ld),
-        "rhs": Fraction(rn, rd),
-        "equal": ln * rd == rn * ld,
-        "C": C,
-    }
+    return {"lhs": Fraction(ln, ld), "rhs": Fraction(rn, rd), "equal": ln * rd == rn * ld}
 
 
 def sign_tuple_identity(t_size: int, c: int) -> bool:

@@ -61,6 +61,11 @@ L_TERMS_MAX = 10**7
 
 
 def _char_period(D: int) -> int:
+    """The period P of chi_D = (D|.): |D|, or 4|D| for D = 2 (mod 4).  The one
+    place that refuses D = 3 (mod 4): there (D|2^k) = (D|2)^k and
+    (D|2) != 0, so (D|.) has no period to sum over or tabulate."""
+    if D % 4 == 3:
+        raise ValueError(f"D = {D} is 3 mod 4, where (D|.) is not periodic")
     return abs(D) if D % 4 in (0, 1) else 4 * abs(D)
 
 
@@ -88,7 +93,8 @@ def _legendre_table(p: int) -> np.ndarray:
 def _char_table(D: int) -> np.ndarray:
     """chi_D = (D|.) over one period P as int8: entry r is kronecker(D, r)
     for 0 < r < P, and entry 0 is kronecker(D, P), so table[m % P] = chi_D(m)
-    for every m >= 1.
+    for every m >= 1.  Built for D != 3 (mod 4) only: `_char_period` refuses
+    the rest, where chi_D has no period.
 
     (D|r) is completely multiplicative in r.  Write |D| = 2^a prod p^e over
     odd primes p.  For odd r,
@@ -103,12 +109,10 @@ def _char_table(D: int) -> np.ndarray:
     multiplied by the Legendre table (r|p) of each p with odd e (q = p), and
     by one sign table of period q = 8, 4 or 1.  P is divisible by q: the
     (2|r) factor occurs for odd a, where 8 | D or D = 2 (mod 4), and the
-    (-1|r) factor only for even D or D = 3 (mod 4).  For D = 1 (mod 4) the
-    tiling gives the even entries too: (D|r) = (r| |D|) for every r > 0.
-    For D = 3 (mod 4) the even entries r = 2^k r', r' odd, are (D|2)^k (D|r'),
-    copied from the odd entries one k at a time; for even D, (D|2) = 0, so
-    every even entry is 0 and is set in one step.  No P-long index or
-    remainder array is built.
+    (-1|r) factor only for even D.  For D = 1 (mod 4) the tiling gives the
+    even entries too: (D|r) = (r| |D|) for every r > 0.  For even D,
+    (D|2) = 0, so every even entry is 0 and is set in one step.  No P-long
+    index or remainder array is built.
     (Cohen, A Course in Computational Algebraic Number Theory, 1.4.)
     """
     P = _char_period(D)
@@ -130,16 +134,8 @@ def _char_table(D: int) -> np.ndarray:
         sign[[3, 5]] *= -1
     q = 8 if flip_3_5_mod_8 else 4 if flip_3_mod_4 else 1
     table.reshape(-1, q)[:] *= sign[:q]
-    chi_2 = kronecker(D, 2)
-    if chi_2 == 0:
+    if D % 2 == 0:
         table[::2] = 0
-    elif D % 4 == 3:
-        odd = table[1::2]
-        step, chi_step = 2, chi_2
-        while step < P:
-            even = table[step :: 2 * step]  # r = step * r', r' = 1, 3, 5, ...
-            np.multiply(odd[: len(even)], chi_step, out=even)
-            step, chi_step = 2 * step, chi_step * chi_2
     table[0] = kronecker(D, P)
     return table
 
@@ -233,17 +229,15 @@ def _error_bound(T: np.ndarray, M: int) -> float:
 
 def _l_terms(D: int, prime_bound: int) -> int:
     """The number of terms M = max(prime_bound, 10 P) an L-value of chi_D
-    uses; refuses D >= 0, D = 3 (mod 4), a bound below 100 and any M above
-    L_TERMS_MAX."""
+    uses; refuses D >= 0, D = 3 (mod 4) (through `_char_period`), a bound
+    below 100 and any M above L_TERMS_MAX, in that order."""
     if D >= 0:
         raise ValueError("negative discriminant-like D required")
-    if D % 4 == 3:
-        # (D|2^k) = (D|2)^k and (D|2) != 0: (D|.) has no period to sum over
-        raise ValueError(f"D = {D} is 3 mod 4, where (D|.) is not periodic")
+    P = _char_period(D)
     if prime_bound < 100:
         raise ValueError("prime_bound must be at least 100")
     # the Abel correction needs several full periods of partial sums
-    M = max(int(prime_bound), 10 * _char_period(D))
+    M = max(int(prime_bound), 10 * P)
     if M > L_TERMS_MAX:
         raise ValueError(f"L-value needs {M} terms, more than the supported {L_TERMS_MAX}")
     return M

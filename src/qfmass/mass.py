@@ -11,8 +11,9 @@ out of every hot path, as `count_SO_mod_p` is.
 
 `density_ratio`, the row over the generic density at the same (p, unit), is
 the one memoized value per symbol: the local mass sums read it, and so does
-`density_product`, the one product loop behind the decomposition check and
-the genus mass ratios.
+`density_product`, the one product loop.  The decomposition check calls it
+once per genus it sums and `genus_mass_ratio` once per genus of a pair; no
+genus record keeps a product.
 """
 from __future__ import annotations
 

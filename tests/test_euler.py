@@ -8,6 +8,7 @@ import pytest
 from qfmass import cli, euler, forms, globalmass, localgenus
 from qfmass.arith import LocalSquareClass, factor, gamma_factor, legendre
 from qfmass.euler import (
+    GenusRecord,
     RationalFunction,
     a_coeff,
     b_coeff,
@@ -20,7 +21,7 @@ from qfmass.euler import (
 from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
 from qfmass.localgenus import TwoAdicGenusSymbol, genus_symbol_2, local_symbol
-from qfmass.mass import density_ratio, genus_mass_ratio, local_density_inverse
+from qfmass.mass import density_product, density_ratio, genus_mass_ratio, local_density_inverse
 
 from .test_arith import time_limit
 
@@ -54,6 +55,13 @@ def test_rational_function_is_an_immutable_pair():
     assert (num, den) == (rf.num, rf.den) == ((1, Fraction(-1, 25)), (1, Fraction(-1, 5)))
     with pytest.raises(AttributeError):
         rf.num = ()
+    # a genus record is a plain triple too
+    rec = genus_partition(23)[0]
+    assert isinstance(rec, tuple) and GenusRecord._fields == ("classes", "symbols", "mass")
+    assert rec == (rec.classes, rec.symbols, rec.mass)
+    for field in GenusRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +358,8 @@ def test_census_and_both_checks_split_S_once(monkeypatch):
 
 
 def test_density_product_is_computed_once_per_genus(monkeypatch):
-    """The census reads no density; the first decomposition check of S
-    computes each genus's product once and keeps it on the shared record."""
+    """The census reads no density; one unconstrained decomposition check of
+    S reads each genus's symbols once, one product per genus."""
     calls = []
 
     def counting(sym):
@@ -365,10 +373,9 @@ def test_density_product_is_computed_once_per_genus(monkeypatch):
         genera = genus_census(S).genera
         assert calls == []
         assert decomposition_check(S)["equal"], S
-        assert decomposition_check(S, {2: -1, 3: 1})["equal"], S
-        assert len(calls) == sum(len(rec.symbols) for rec in genera), S
+        assert calls == [sym for rec in genera for sym in rec.symbols.values()], S
         for rec in genera:
-            n, d = rec.density_product
+            n, d = density_product(rec.symbols)
             expected = Fraction(1)
             for sym in rec.symbols.values():
                 expected *= density_ratio(sym)
