@@ -4,8 +4,8 @@ Hilbert symbols, and local squareclasses of Q_p.
 All results are exact (int / Fraction).  The functions are pure, except
 that the module keeps one fixed sieve of the primes < 10^6 per process
 (`primes_below()`, a tuple of Python ints built from an odd-only numpy
-bitmap) and memoizes `is_prime`; both caches change only speed and memory,
-never a result.
+bitmap) and memoizes `is_prime` and `smallest_nonresidue`; these caches
+change only speed and memory, never a result.
 """
 from __future__ import annotations
 
@@ -163,8 +163,10 @@ def legendre(a: int, p: int) -> int:
     return kronecker(a, p)
 
 
+@lru_cache(maxsize=1024)
 def smallest_nonresidue(p: int) -> int:
-    """The least quadratic non-residue mod an odd prime p."""
+    """The least quadratic non-residue mod an odd prime p.  Memoized (errors
+    are not): every density of an NQR unit class at p reads it."""
     return next(r for r in count(2) if legendre(r, p) == -1)
 
 

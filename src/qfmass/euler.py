@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
@@ -158,6 +158,21 @@ class GenusRecord(NamedTuple):
         return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.classes]
 
 
+# GenusRecord and OddGenusSymbol from a tuple of their fields without the
+# NamedTuple's Python-level __new__, as `forms._new_form` builds each class
+_new_record = partial(tuple.__new__, GenusRecord)
+_new_odd_symbol = partial(tuple.__new__, OddGenusSymbol)
+
+
+@lru_cache(maxsize=256)
+def genus_mass(n: int, w: int) -> Fraction:
+    """n/(2w), the mass of n proper classes of w proper automorphisms each:
+    a genus's mass in `genus_partition` and a census total in
+    `globalmass.genus_census`.  Memoized on (n, w), so the census of one S
+    and of the next reuse each small mass built once."""
+    return Fraction(n, 2 * w)
+
+
 @lru_cache(maxsize=1)
 def _local_split(S: int) -> dict[int, LocalSquareClass]:
     """S's valuation and unit class, `LocalSquareClass.of(S, p)`, at p = 2
@@ -199,8 +214,11 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       place of a `kronecker` call.
 
     Every class has w = mu_order(-S) proper automorphisms, so a genus of n
-    classes has mass n/(2w); `GenusRecord.aut_orders` gives |Aut| per class
-    when read.
+    classes has mass n/(2w), read from the `genus_mass` memo;
+    `GenusRecord.aut_orders` gives |Aut| per class when read.  Odd symbols
+    and records are built from their field tuples by `tuple.__new__`, which
+    skips only the NamedTuple's argument parsing: the values and their types
+    are those the constructors would give.
     """
     split = _local_split(S)
     odd = list(split)[1:]
@@ -229,9 +247,9 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
         symbols: dict[int, LocalGenusSymbol] = {2: distinct[key & 3]}
         bit = 1 << 2
         for p, d in zip(odd, local):
-            symbols[p] = OddGenusSymbol(p, d.val, d.unit, NQR if key & bit else QR)
+            symbols[p] = _new_odd_symbol((p, d.val, d.unit, NQR if key & bit else QR))
             bit <<= 1
-        records.append(GenusRecord(tuple(classes), symbols, Fraction(len(classes), 2 * w)))
+        records.append(_new_record((tuple(classes), symbols, genus_mass(len(classes), w))))
     return tuple(records)
 
 
@@ -251,8 +269,10 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     or add; each genus's product is `mass.density_product` of its symbols,
     the one product loop.  Every denominator is positive, so
     cross-multiplication decides `equal`.  Returns {"lhs", "rhs", "equal"},
-    with `lhs` and `rhs` as one reduced `Fraction` each.  S's split at
-    p | 2S comes from `_local_split`, shared with the census.
+    with `lhs` and `rhs` as reduced `Fraction`s: `lhs` is reduced once and,
+    when `equal`, returned as `rhs` too; `rhs` is reduced on its own only on
+    a mismatch, the one case where the two differ.  S's split at p | 2S
+    comes from `_local_split`, shared with the census.
     """
     constraints = hasse_constraints or {}
     if any(eps not in (1, -1) for eps in constraints.values()):
@@ -278,21 +298,24 @@ def decomposition_check(S: int, hasse_constraints: dict[int, int] | None = None)
     kn = kd = an = ad = bn = bd = 1  # K, prod A and prod B
     for p in T:
         A, B = _ab_coeff(p, local[p].unit, local[p].val)
+        (a_n, a_d), (b_n, b_d) = A.as_integer_ratio(), B.as_integer_ratio()
         if p in constraints:
             # a constrained p contributes M~^{c_p} = (A + c_p B)/2
             c = constraints[p]
-            kn *= A.numerator * B.denominator + c * B.numerator * A.denominator
-            kd *= 2 * A.denominator * B.denominator
+            kn *= a_n * b_d + c * b_n * a_d
+            kd *= 2 * a_d * b_d
             C *= c
         else:
-            an *= A.numerator
-            ad *= A.denominator
-            bn *= B.numerator
-            bd *= B.denominator
+            an *= a_n
+            ad *= a_d
+            bn *= b_n
+            bd *= b_d
     # rhs = K (prod A + C prod B) / 2
     rn = kn * (an * bd + C * bn * ad)
     rd = 2 * kd * ad * bd
-    return {"lhs": Fraction(ln, ld), "rhs": Fraction(rn, rd), "equal": ln * rd == rn * ld}
+    lhs = Fraction(ln, ld)
+    equal = ln * rd == rn * ld
+    return {"lhs": lhs, "rhs": lhs if equal else Fraction(rn, rd), "equal": equal}
 
 
 def sign_tuple_identity(t_size: int, c: int) -> bool:

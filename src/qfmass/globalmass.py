@@ -19,7 +19,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .arith import factor, kronecker
-from .euler import GenusRecord, genus_partition
+from .euler import GenusRecord, genus_mass, genus_partition
 from .forms import QuadForm, class_count, mu_order
 
 SCHEMA_VERSION = 1
@@ -41,11 +41,12 @@ def genus_census(S: int) -> GenusReport:
     """The shared genus records of determinant S (see `genus_partition`)
     with their total mass, sum 1/(2 |proper Aut|) over proper classes.
     Every proper class of det S has w = mu_order(-S) proper automorphisms,
-    so the total is one Fraction: the class count over 2w."""
+    so the total is one Fraction, the class count over 2w, read from the
+    `genus_mass` memo that also gives each genus's mass."""
     if S <= 0:
         raise ValueError("determinant must be positive")
     genera = list(genus_partition(S))
-    total = Fraction(sum(len(g.classes) for g in genera), 2 * mu_order(-S)) if genera else Fraction(0)
+    total = genus_mass(sum(len(g.classes) for g in genera), mu_order(-S))
     return GenusReport(det=S, genera=genera, total_mass=total)
 
 

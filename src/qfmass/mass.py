@@ -11,9 +11,11 @@ out of every hot path, as `count_SO_mod_p` is.
 
 `density_ratio`, the row over the generic density at the same (p, unit), is
 the one memoized value per symbol: the local mass sums read it, and so does
-`density_product`, the one product loop.  The decomposition check calls it
-once per genus it sums and `genus_mass_ratio` once per genus of a pair; no
-genus record keeps a product.
+`density_product`, the one product loop over a genus.  The decomposition
+check calls that loop once per genus it sums; `genus_mass_ratio` forms no
+product, since equal symbols cancel exactly, and reads `density_ratio` only
+at the primes where the two genera differ.  No genus record keeps a
+product.
 """
 from __future__ import annotations
 
@@ -149,22 +151,31 @@ def density_product(symbols: dict[int, LocalGenusSymbol]) -> tuple[int, int]:
     unreduced pair (numerator, denominator) of positive integers."""
     n = d = 1
     for sym in symbols.values():
-        r = density_ratio(sym)
-        n *= r.numerator
-        d *= r.denominator
+        rn, rd = density_ratio(sym).as_integer_ratio()
+        n *= rn
+        d *= rd
     return n, d
 
 
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:
     """Ratio of Siegel masses of two genera with equal determinant, as the
-    ratio of their `density_product`s over p | 2 det.
+    ratio of their products of `density_ratio` over p | 2 det.
 
     The two genera share the determinant, so at every p their symbols share
     (p, nu, unit) and hence the generic density, which cancels from the
-    quotient.  The two integer pairs are reduced once into the returned
-    `Fraction`."""
-    if set(symbols1) != set(symbols2):
+    quotient.  At a p where the two symbols are equal the whole factor
+    cancels, so only the primes where they differ are multiplied, as two
+    unreduced integer pairs reduced once into the returned `Fraction`."""
+    if symbols1.keys() != symbols2.keys():
         raise ValueError("genus symbol supports differ")
-    n1, d1 = density_product(symbols1)
-    n2, d2 = density_product(symbols2)
+    n1 = d1 = n2 = d2 = 1
+    for p, s1 in symbols1.items():
+        s2 = symbols2[p]
+        if s1 != s2:
+            r1n, r1d = density_ratio(s1).as_integer_ratio()
+            r2n, r2d = density_ratio(s2).as_integer_ratio()
+            n1 *= r1n
+            d1 *= r1d
+            n2 *= r2n
+            d2 *= r2d
     return Fraction(n1 * d2, d1 * n2)

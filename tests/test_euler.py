@@ -18,9 +18,9 @@ from qfmass.euler import (
     genus_partition,
     sign_tuple_identity,
 )
-from qfmass.forms import automorphism_count, mu_order, proper_automorphism_count
+from qfmass.forms import automorphism_count, class_count, mu_order, proper_automorphism_count
 from qfmass.globalmass import genus_census, report_json_obj
-from qfmass.localgenus import TwoAdicGenusSymbol, genus_symbol_2, local_symbol
+from qfmass.localgenus import OddGenusSymbol, TwoAdicGenusSymbol, genus_symbol_2, local_symbol
 from qfmass.mass import density_product, density_ratio, genus_mass_ratio, local_density_inverse
 
 from .test_arith import time_limit
@@ -282,10 +282,13 @@ def _check_against_references(S, cons):
     assert got == _decomposition_reference(S, cons), (S, cons)
     assert all(type(x) is Fraction for x in got[:2]), (S, cons)
     genera = genus_partition(S)
-    for other in genera[1:]:
-        ratio = genus_mass_ratio(other.symbols, genera[0].symbols)
-        assert ratio == _mass_ratio_reference(other.symbols, genera[0].symbols), S
-        assert type(ratio) is Fraction, S
+    # every ordered pair, a genus with itself included: pairs that differ at
+    # 2 only, at odd p only and nowhere all occur
+    for g1 in genera:
+        for g2 in genera:
+            ratio = genus_mass_ratio(g1.symbols, g2.symbols)
+            assert ratio == _mass_ratio_reference(g1.symbols, g2.symbols), S
+            assert type(ratio) is Fraction, S
 
 
 def test_integer_checks_equal_the_fraction_references():
@@ -300,6 +303,24 @@ def test_integer_checks_equal_the_fraction_references():
     for S in list(range(99000, 99040)) + [1021020]:
         _check_against_references(S, {})
     assert len(genus_partition(1021020)) == 32
+
+
+def test_census_masses_over_a_range():
+    """Each genus mass is its class count over 2w, the masses sum to the
+    census total and to the class count over 2w, and every record and odd
+    symbol is an instance of its own type, not a bare tuple (which would
+    compare equal)."""
+    for S in list(range(1, 3001)) + list(range(99000, 99040)):
+        two_w = 2 * mu_order(-S)
+        genera = genus_partition(S)
+        for rec in genera:
+            assert type(rec) is GenusRecord, S
+            assert type(rec.mass) is Fraction and rec.mass == Fraction(len(rec.classes), two_w), S
+            for p, sym in rec.symbols.items():
+                assert type(sym) is (TwoAdicGenusSymbol if p == 2 else OddGenusSymbol), (S, p)
+        total = genus_census(S).total_mass
+        assert type(total) is Fraction, S
+        assert sum(rec.mass for rec in genera) == total == Fraction(class_count(S), two_w), S
 
 
 def test_decomposition_check_fails_when_a_genus_is_missing(monkeypatch):

@@ -139,6 +139,15 @@ MUTANTS = (
         "return Fraction(d1 * n2, n1 * d2)",
         frozenset(),
     ),
+    # every genus of one S has the same density product, so each Siegel
+    # ratio is 1 and a ratio over the equal symbols only is 1 too
+    Mutant(
+        "genus_mass_ratio reads only equal symbols",
+        "mass.py",
+        "if s1 != s2",
+        "if s1 == s2",
+        frozenset(),
+    ),
     # an odd unit mod 4 is 1 or 3, still a valid tag at 2, so only the
     # suites that read the 2-adic square class can see it
     Mutant(
