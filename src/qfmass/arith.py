@@ -55,6 +55,12 @@ def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
     return tuple(ps)
 
 
+def check_factorable(n: int) -> None:
+    """Refuse n past the supported factorization range, n >= 10^12."""
+    if n >= _FACTOR_LIMIT:
+        raise ValueError(f"{n} is beyond the supported factorization range")
+
+
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Primality of n < 10^12: a lookup in the sieve of the primes < 10^6
@@ -62,8 +68,7 @@ def is_prime(n: int) -> bool:
     not)."""
     if n < 2:
         return False
-    if n >= _FACTOR_LIMIT:
-        raise ValueError(f"{n} is beyond the supported factorization range")
+    check_factorable(n)
     ps = primes_below()
     if n < _PRIME_LIMIT:
         i = bisect_left(ps, n)
@@ -84,8 +89,7 @@ def factor(n: int) -> list[tuple[int, int]]:
     """
     if n <= 0:
         raise ValueError("factor() requires a positive integer")
-    if n >= _FACTOR_LIMIT:
-        raise ValueError(f"{n} is beyond the supported factorization range")
+    check_factorable(n)
     out = []
     for p in primes_below():
         if p * p > n:

@@ -16,7 +16,7 @@ import random
 import sys
 from collections.abc import Generator, Iterable, Iterator
 
-from .arith import factor, is_prime, smallest_nonresidue
+from .arith import check_factorable, factor, is_prime, smallest_nonresidue
 from .euler import (
     a_coeff,
     b_coeff,
@@ -80,13 +80,15 @@ def cmd_classify(args) -> int:
     dets = _parse_range(args)
     if dets is None:
         return _fail_usage("classify needs --det S >= 1 or --det-range LO:HI")
-    # L-value sizes grow with S: refuse the largest realizable S before any census
+    # L-value sizes grow with S: refuse the largest realizable S, and an S past
+    # the factorization range, before any census
     top = max((S for S in dets[-4:] if S % 4 in (0, 3)), default=None)
     if top is not None:
         _l_terms(-top, args.prime_bound)
+    check_factorable(dets[-1])
     # one report is held at a time: each is written as soon as it is built.
-    # The first is built before the output opens, so an S refused there (past
-    # the factorization range, below every L-value check) writes nothing.
+    # The first is built before the output opens, so an S refused there
+    # writes nothing.
     objs = (report_json_obj(S, args.prime_bound) for S in dets)
     objs = itertools.chain([next(objs)], objs)
     write = write_report_json if args.format == "json" else write_report_csv
@@ -244,7 +246,7 @@ def cmd_verify(args) -> int:
         n = args.max_det
         constrained = f"decomposition constrained ({CONSTRAINED_INSTANCES} instances)"
         suites = [
-            _decomposition(((S, None) for S in range(1, n + 1)), f"decomposition unconstrained S<=:{n}"),
+            _decomposition(((S, None) for S in range(1, n + 1)), f"decomposition unconstrained S<={n}"),
             _decomposition(_constrained_cases(n), constrained),
             _sign_tuples(),
         ] if args.suite == "decomposition" else [_siegel(n)]

@@ -220,10 +220,10 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     skips only the NamedTuple's argument parsing: the values and their types
     are those the constructors would give.
     """
+    if S % 4 in (1, 2):
+        return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so no scan or split
     split = _local_split(S)
     odd = list(split)[1:]
-    if S % 4 in (1, 2):
-        return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so skip the O(S) scan
     w = mu_order(-S)
     sq2 = split[2]
     syms = [two_adic_symbol(sq2.val, sq2.unit, u1) for u1 in (1, 3, 5, 7)]

@@ -55,8 +55,7 @@ def genus_census(S: int) -> GenusReport:
 
 # Most terms an L-value may use.  M terms cost 8 M bytes: the float64 array
 # 1/m, which `_M_TERMS` keeps at the largest M so far (rounded up, see
-# `_M_TERMS_STEP`), so at most 80 MB stay held between L-values, beside a
-# work buffer of at most 8 MB (2^20 entries, as P <= M / 10, see
+# `_M_TERMS_STEP`), so at most 80 MB stay held between L-values (see
 # `_Reciprocals`).
 L_TERMS_MAX = 10**7
 
@@ -70,24 +69,15 @@ def _char_period(D: int) -> int:
     return abs(D) if D % 4 in (0, 1) else 4 * abs(D)
 
 
-# The squares mod p of a Legendre table are taken this many at a time: one
-# int64 block of 128 KiB, where all (p - 1)/2 at once would be 4 p bytes.
-_SQUARE_BLOCK = 2**14
-
-
 def _legendre_table(p: int) -> np.ndarray:
     """(r|p) for r = 0, ..., p - 1, p an odd prime, from the squares r^2 mod p
-    of r = 1, ..., (p - 1)/2, taken in place in int64 blocks of
-    `_SQUARE_BLOCK` entries, one block held at a time."""
+    of r = 1, ..., (p - 1)/2, taken in place in one int64 array."""
     leg = np.full(p, -1, dtype=np.int8)
     leg[0] = 0
-    half = (p + 1) // 2
-    for lo in range(1, half, _SQUARE_BLOCK):
-        sq = np.arange(lo, min(lo + _SQUARE_BLOCK, half), dtype=np.int64)
-        sq *= sq
-        sq %= p
-        leg[sq] = 1
-        del sq  # freed before the next block is allocated
+    sq = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    sq *= sq
+    sq %= p
+    leg[sq] = 1
     return leg
 
 
@@ -187,12 +177,11 @@ class LTruncation(NamedTuple):
     It is not bit-identical to the M-term dot product chi(1..M) . 1/m, which
     sums in another order; both lie within e2 of the exact sum.
 
-    The value allocates no float64 or int64 array of P or M entries: the
-    period weights are summed into the one work buffer kept beside 1/m
-    (`_Reciprocals`), and sum r chi(r) is taken from row and column sums of
-    the int8 table.  An array that size, allocated and freed on every call,
-    sits above glibc's mmap threshold once P passes about 1.25 10^5, and
-    would then be mapped fresh and page-faulted on every L-value.
+    The value allocates no array of M entries: 1/m is read from the array
+    kept across calls (`_Reciprocals`).  Its largest per-call arrays are
+    the L period-weight sums, L = P for P >= 2^12, and the int8 table;
+    sum r chi(r) is taken from row and column sums of that table, with no
+    P-long index array.
 
     The bound needs B, and so all P partial sums T(1), ..., T(P), which the
     value does not.  `error_estimate` is therefore computed when read: each
@@ -256,27 +245,18 @@ _ROW_TERMS_MIN = 2**12
 
 
 class _Reciprocals:
-    """1/1, ..., 1/N for N at least the largest M asked for, and one float64
-    work buffer for the period weights of an L-value.
+    """1/1, ..., 1/N for N at least the largest M asked for, kept across
+    L-values.
 
-    Both arrays are kept across L-values and grow only, so a call that
-    needs no more than an earlier one computes no reciprocal and touches no
-    fresh page.  1/m grows to a multiple of `_M_TERMS_STEP` entries, the
-    work buffer to a power of two, so the P of a run grow it a few times at
-    most.  The work buffer holds the L period-weight sums (L = P for
-    P >= 2^12), plus P for their fold when L > P: 8 bytes times the largest
-    P so far, at most doubled, so 1 MB at P = 10^5, 8 MB at P = 10^6 and
-    128 KB for any P < 2^12; only the entries a call writes are ever paged
-    in.  Its content is whatever the last call left; the kernel overwrites
-    every entry it reads.  On growth the old array is dropped before the new one
-    is allocated, so the two are never held at once.  Calls from several
-    threads at once could race on a growth or on the work buffer; the
-    package makes none.
+    The array grows only, to a multiple of `_M_TERMS_STEP` entries, so a
+    call that needs no more terms than an earlier one computes no
+    reciprocal.  On growth the old array is dropped before the new one is
+    allocated, so the two are never held at once.  Calls from several
+    threads at once could race on a growth; the package makes none.
     """
 
     def __init__(self) -> None:
         self.inv = np.empty(0)
-        self.work = np.empty(0)
 
     def view(self, M: int) -> np.ndarray:
         """The first M entries of 1/m, grown first if shorter than M
@@ -287,13 +267,6 @@ class _Reciprocals:
             self.inv = np.arange(1, N + 1, dtype=np.float64)
             np.divide(1.0, self.inv, out=self.inv)
         return self.inv[:M]
-
-    def scratch(self, n: int) -> np.ndarray:
-        """The first n entries of the work buffer, grown first if shorter."""
-        if n > len(self.work):
-            self.work = np.empty(0)
-            self.work = np.empty(1 << (n - 1).bit_length())
-        return self.work[:n]
 
 
 _M_TERMS = _Reciprocals()
@@ -335,15 +308,14 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     (`_Reciprocals`, 8 bytes per term of the largest M so far, rounded up
     to a multiple of `_M_TERMS_STEP`, at most 80 MB), first adding rows of
     L terms, L a whole number of periods, then folding the L sums into P
-    (skipped when L = P, where the one row is its own sum).  Both sums
-    write into the work buffer kept beside 1/m, so no float64 or int64
-    array of P or M entries is allocated per call (see `LTruncation`); the
-    largest per-call arrays are the int8 table and, for a prime p | D with
-    odd exponent, its p-entry int8 Legendre table, whose squares mod p are
-    taken in blocks of `_SQUARE_BLOCK`.  No BLAS call is made, so the value
-    does not depend on the BLAS thread count.  The proven bound
-    `error_estimate` is computed when read, not here; each read rebuilds the
-    character table and takes its P partial sums.
+    (skipped when L = P, where the one row is its own sum).  No array of M
+    entries is allocated per call (see `LTruncation`); the largest per-call
+    arrays are the L float64 weight sums, the int8 table and, for a prime
+    p | D with odd exponent, its p-entry Legendre table with its (p - 1)/2
+    int64 squares.  No BLAS call is made, so the value does not depend on
+    the BLAS thread count.  The proven bound `error_estimate` is computed
+    when read, not here; each read rebuilds the character table and takes
+    its P partial sums.
     """
     M = _l_terms(D, prime_bound)
     table = _char_table(D)
@@ -354,16 +326,15 @@ def l_value_truncated(D: int, prime_bound: int = 10**5) -> LTruncation:
     # sum T = -sum r chi(r) (see `LTruncation`), exact in integers
     T_mean = -_index_sum(table) / P
     T_M = int(table[1 : M % P + 1].sum(dtype=np.int64))
-    # w_r: K rows of L terms, then the tail, then the L sums folded into P,
-    # all in the kept work buffer (K = 0 leaves its L entries zero)
+    # w_r: K rows of L terms, then the tail, then the L sums folded into P
+    # (K = 0 gives L zeros)
     inv = _M_TERMS.view(M)
     L = P * -(-_ROW_TERMS_MIN // P)
     K = M // L
-    work = _M_TERMS.scratch(L if L == P else L + P)
-    wl = np.add.reduce(inv[: K * L].reshape(K, L), axis=0, out=work[:L])
+    wl = inv[: K * L].reshape(K, L).sum(0)
     wl[: M - K * L] += inv[K * L :]
     # w[j] weighs chi(j + 1)
-    w = wl if L == P else np.add.reduce(wl.reshape(-1, P), axis=0, out=work[L:])
+    w = wl if L == P else wl.reshape(-1, P).sum(0)
     np.multiply(w[:-1], table[1:], out=w[:-1])
     w[-1] = 0.0  # chi(P) = table[0] = 0
     partial = float(w.sum())

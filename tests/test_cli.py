@@ -209,7 +209,7 @@ def test_euler_rejects_nonunit(capsys):
 def test_verify_decomposition(capsys):
     code, out, _ = run_cli(capsys, "verify", "decomposition", "--max-det", "120")
     assert code == 0
-    assert "PASS decomposition unconstrained" in out
+    assert "PASS decomposition unconstrained S<=120" in out.splitlines()
     assert "PASS decomposition constrained" in out
     assert "PASS sign-tuple" in out
 
@@ -426,9 +426,9 @@ def test_verify_rejects_empty_range(capsys, argv, flag):
 GOLDEN_SHA256 = {
     "classify --det-range 1:40": "36ffdf7bd4d433d0e5c3cfc8e1374764afbc43abc28cbcd162c307179253549b",
     "classify --det-range 1:40 --format csv": "1a577cb969b32a30cba7466abb3f8a21a4f53403683d0e0817e60d69f070dcb4",
-    "verify decomposition --max-det 300": "471e00b9afae76b9f2d83ffdc8825b2b89f264bbd47b2ae0034a691d8202bdf8",
+    "verify decomposition --max-det 300": "82ebd86ecb454116619518eff8eaaeef0749cfe16d932a31eaf794f02488af3c",
     "verify siegel --max-det 300": "1fab961f5c67e0bb2696ee61c237171ea6f545ddad0edf461ccc028824309dd8",
-    "verify decomposition --max-det 2000": "68d3ffaeac0bb28868b3694bd825d95577b90a0b17d7bf8f637c41f4f97e6756",
+    "verify decomposition --max-det 2000": "0973c75414ca812cd2a2758293bbe6a27169ff3cca7d09bab71a2b48c2e82346",
     "verify siegel --max-det 2000": "910fac037c6342f8e370e1b867c06e0a7912a314b7fd073901a16d906ebc307b",
     "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
         "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"

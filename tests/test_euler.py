@@ -378,6 +378,19 @@ def test_census_and_both_checks_split_S_once(monkeypatch):
         assert calls == [(S, p) for p in primes + outside], S
 
 
+def test_unrealizable_S_is_neither_scanned_nor_split(monkeypatch):
+    """S = 1, 2 (mod 4) has no form: its census is empty, and S is not
+    factored or split."""
+
+    def refused(*args):
+        raise AssertionError("unrealizable S split")
+
+    monkeypatch.setattr(euler, "_local_split", refused)
+    for S in (1, 2, 5, 6, 99997, 99998):
+        genus_partition.cache_clear()
+        assert genus_partition(S) == () and genus_census(S).total_mass == 0, S
+
+
 def test_density_product_is_computed_once_per_genus(monkeypatch):
     """The census reads no density; one unconstrained decomposition check of
     S reads each genus's symbols once, one product per genus."""

@@ -196,10 +196,8 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
     # M = 999960, 10^4, 1049990, 100, 10^5, 999960, 10^5, the third past the
     # first's 16 * 2^16 kept terms: a shorter call after a longer one must
     # take the right slice of the kept 1/m, and give the value it gives with
-    # kept arrays of its own.  The P < 2^12 calls fold rows of L > P period
-    # weights in the work buffer that a large-P call has just filled; at
-    # (-3, 100), with L = 4098 > M, no full row exists and all L weights but
-    # the first M must come out 0, not stale
+    # a kept array of its own.  At (-3, 100), with L = 4098 > M, no full row
+    # of period weights exists and all L weights but the first M must be 0
     calls = [
         (-99996, 10**5),
         (-1000, 100),
@@ -219,15 +217,13 @@ def test_l_values_reuse_the_kept_arrays_in_any_order(monkeypatch):
         assert_matches_reference(trunc, D, bound)
         assert trunc.value == alone[D, bound], (D, bound)
     assert len(globalmass._M_TERMS.inv) == 17 * globalmass._M_TERMS_STEP
-    # one P-long work buffer, for the largest P = 104999, rounded up
-    assert len(globalmass._M_TERMS.work) == 2**17
 
 
-def test_l_value_allocates_no_period_long_array():
-    # after a warm call the kept arrays are long enough: the int8 table
-    # (P bytes) is then the largest allocation, beside the P-byte Legendre
-    # table at a prime P; a float64 or int64 array of P entries alone would
-    # be 8 P, and all (P - 1)/2 squares mod P in one int64 array 4 P
+def test_l_value_allocates_no_m_term_array():
+    # after a warm call the kept 1/m is long enough: the P float64 period
+    # weights (8 P) and the int8 table (P) are then the largest allocations,
+    # beside the Legendre table and its (P - 1)/2 int64 squares at a prime P;
+    # an array of M = 10 P float64 entries alone would be 80 P
     for D in (-99996, -300007):
         P = _char_period(D)
         l_value_truncated(D)
@@ -237,7 +233,7 @@ def test_l_value_allocates_no_period_long_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * P, D
+        assert peak < 12 * P, D
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""The README's mutant kill matrix states what `tools/mutants.py` expects.
+"""The README's mutant kill matrix states what `tools/mutants.py` expects,
+and the tool's ORACLES are oracle code only.
 
-The test parses the table and compares it with the tool's SUITES and
+The first test parses the table and compares it with the tool's SUITES and
 MUTANTS; it runs no suite.  Row names are worded differently in the two
 places (ν against nu), so rows are matched by order and by their kills.
 """
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -46,3 +48,27 @@ def test_readme_mutant_matrix_matches_the_tool():
         cells = row[1:]
         assert len(cells) == len(mutants.SUITES) and set(cells) <= {"KILL", "live"}, row
         assert {s for s, cell in zip(mutants.SUITES, cells) if cell == "KILL"} == m.kills, (row[0], m.name)
+
+
+def _names_outside(node: ast.AST, owner: str | None, oracles: set[str]):
+    """(owner, line, name) for every oracle name read in `node` outside the
+    body of an oracle, owner being the enclosing function (or None at
+    module level)."""
+    for child in ast.iter_child_nodes(node):
+        name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+        if name in oracles and owner not in oracles:
+            yield owner, child.lineno, name
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner not in oracles else owner
+        yield from _names_outside(child, inner, oracles)
+
+
+def test_no_engine_function_calls_an_oracle():
+    oracles = set(_load_mutants().ORACLES)
+    defined = set()
+    uses = []
+    for path in sorted((ROOT / "src" / "qfmass").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        uses += [(path.name, *use) for use in _names_outside(tree, None, oracles)]
+    assert oracles <= defined, oracles - defined
+    assert uses == []

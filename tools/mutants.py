@@ -34,6 +34,29 @@ SUITES = {
     "euler-closed-forms": ["euler-closed-forms"],
 }
 
+# The oracle functions of `src/qfmass`: brute-force and reference code that
+# the tests compare the engine with.  No suite runs them, so the suites can
+# kill no mutant of them; `tests/test_mutants.py` holds that no other
+# function of `src/qfmass` calls one.
+ORACLES = (
+    "enumerate_classes",
+    "automorphism_count",
+    "proper_automorphism_count",
+    "_automorphisms",
+    "_norm_vectors",
+    "reduce_binary",
+    "_is_reduced",
+    "improper_classes",
+    "mirror",
+    "count_SO_mod_p",
+    "aut_density_mod_pk",
+    "jordan_split_odd",
+    "genus_symbol_2",
+    "local_symbol",
+    "same_genus",
+    "representative_form",
+)
+
 
 @dataclass(frozen=True)
 class Mutant:
