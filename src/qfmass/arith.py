@@ -5,11 +5,14 @@ All results are exact (int / Fraction).  The functions are pure, except
 that the module keeps one fixed sieve of the primes < 10^6 per process
 (`primes_below()`, a tuple of Python ints built from an odd-only numpy
 bitmap) and memoizes `is_prime` and `smallest_nonresidue`; these caches
-change only speed and memory, never a result.
+change only speed and memory, never a result.  Each fact has one rule:
+`factor` is the one trial division over that sieve and `is_prime` reads
+primality off it, and the Legendre tag of a p-unit is Euler's criterion
+in `LocalSquareClass.of`, the rule the census key uses too; `kronecker`
+is the general symbol and the tests' oracle for that tag.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -26,8 +29,8 @@ _FACTOR_LIMIT = _PRIME_LIMIT**2
 
 
 @lru_cache(maxsize=1)
-def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
-    """All primes < limit, by sieve of Eratosthenes, as a tuple of Python
+def primes_below() -> tuple[int, ...]:
+    """All primes < 10^6, by sieve of Eratosthenes, as a tuple of Python
     ints (never numpy integers, which would overflow in `p**nu`).
 
     The sieve is an odd-only numpy bool bitmap: entry i stands for 2i + 1.
@@ -35,14 +38,11 @@ def primes_below(limit: int = _PRIME_LIMIT) -> tuple[int, ...]:
     The primes are read off it with `np.flatnonzero`, so no int is built for
     a composite, and the bitmap and the index array are freed before the
     tuple is built: the build holds no more than the tuple, its ints and
-    one list of them.  Each cache miss is one sieve build.  The library
-    reads only the default sieve, the primes < 10^6, so a process builds it
-    once.
+    one list of them.  There is one sieve: the memo has one entry, so a
+    process builds it once, and a smaller bound is a slice of it.
     """
-    if limit <= 2:
-        return ()
-    odd = np.ones(limit // 2, dtype=bool)  # 1, 3, ..., the largest odd < limit
-    for p in range(3, isqrt(limit - 1) + 1, 2):
+    odd = np.ones(_PRIME_LIMIT // 2, dtype=bool)  # 1, 3, ..., 999999
+    for p in range(3, isqrt(_PRIME_LIMIT - 1) + 1, 2):
         if odd[p // 2]:
             odd[p * p // 2 :: p] = False
     idx = np.flatnonzero(odd)
@@ -63,22 +63,9 @@ def check_factorable(n: int) -> None:
 
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Primality of n < 10^12: a lookup in the sieve of the primes < 10^6
-    below 10^6, trial division by those primes above.  Memoized (errors are
-    not)."""
-    if n < 2:
-        return False
-    check_factorable(n)
-    ps = primes_below()
-    if n < _PRIME_LIMIT:
-        i = bisect_left(ps, n)
-        return i < len(ps) and ps[i] == n
-    for p in ps:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    return True
+    """Primality of n < 10^12, read off `factor`: n is prime when it is its
+    own factorization.  Memoized (errors are not)."""
+    return n > 1 and factor(n) == [(n, 1)]
 
 
 def factor(n: int) -> list[tuple[int, int]]:
@@ -255,9 +242,11 @@ class LocalSquareClass(_SquareClassFields):
 
     @staticmethod
     def of(m: int, p: int) -> "LocalSquareClass":
-        """The squareclass of a nonzero integer m at a prime p."""
+        """The squareclass of a nonzero integer m at a prime p: m = p^v u with
+        u a p-unit, and the tag u mod 8 at 2, or at odd p QR or NQR by
+        Euler's criterion, u^((p-1)/2) = 1 (mod p) or not."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         v = _valuation(m, p)
-        u = m // p**v if m > 0 else -((-m) // p**v)
-        return LocalSquareClass(p, v, u % 8 if p == 2 else kronecker(u, p))
+        u = m // p**v  # exact for either sign: p^v divides m
+        return LocalSquareClass(p, v, u % 8 if p == 2 else QR if pow(u, p >> 1, p) == 1 else NQR)

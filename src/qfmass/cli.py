@@ -106,7 +106,7 @@ def cmd_euler(args) -> int:
     p, u = args.p, args.unit
     if not is_prime(p):
         return _fail_usage(f"--p must be prime, got {p}")
-    if u % p == 0 if p != 2 else u % 2 == 0:
+    if u % p == 0:
         return _fail_usage(f"--unit must be a unit at {p}, got {u}")
     if args.terms < 1:
         return _fail_usage("--terms must be positive")
@@ -243,6 +243,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("decomposition", "siegel"):
         if args.max_det < 1:
             return _fail_usage("--max-det must be at least 1")
+        check_factorable(args.max_det)  # a walk to 10^12 could never finish
         n = args.max_det
         constrained = f"decomposition constrained ({CONSTRAINED_INSTANCES} instances)"
         suites = [

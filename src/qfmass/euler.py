@@ -158,10 +158,9 @@ class GenusRecord(NamedTuple):
         return [2 * w if b == 0 or a == b or a == c else w for a, b, c in self.classes]
 
 
-# GenusRecord and OddGenusSymbol from a tuple of their fields without the
-# NamedTuple's Python-level __new__, as `forms._new_form` builds each class
+# GenusRecord from a tuple of its fields without the NamedTuple's
+# Python-level __new__, as `forms._new_form` builds each class
 _new_record = partial(tuple.__new__, GenusRecord)
-_new_odd_symbol = partial(tuple.__new__, OddGenusSymbol)
 
 
 @lru_cache(maxsize=256)
@@ -209,16 +208,17 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       <u1> + <S/u1> with u1 = a or c the p-unit; so its Jordan symbol is
       OddGenusSymbol(p, v, d, t_p) with (v, d) = `LocalSquareClass.of(S, p)`,
       fixed by S and split once per S by `_local_split`.  Equal t_p thus
-      means an equal odd symbol, read straight from the key.  The bit is
-      t_p = -1 by Euler's criterion, u1^((p-1)/2) mod p != 1: one `pow` in
-      place of a `kronecker` call.
+      means an equal odd symbol: the QR and the NQR symbol at p are built
+      once per S, and a genus's symbol at p is the one its key bit picks.
+      The bit is t_p = -1 by Euler's criterion, u1^((p-1)/2) mod p != 1,
+      the rule `LocalSquareClass.of` tags units by.
 
     Every class has w = mu_order(-S) proper automorphisms, so a genus of n
     classes has mass n/(2w), read from the `genus_mass` memo;
-    `GenusRecord.aut_orders` gives |Aut| per class when read.  Odd symbols
-    and records are built from their field tuples by `tuple.__new__`, which
-    skips only the NamedTuple's argument parsing: the values and their types
-    are those the constructors would give.
+    `GenusRecord.aut_orders` gives |Aut| per class when read.  Records are
+    built from their field tuples by `tuple.__new__`, which skips only the
+    NamedTuple's argument parsing: the values and their types are those the
+    constructor would give.
     """
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so no scan or split
@@ -240,14 +240,14 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
                 key |= bit
             bit <<= 1
         groups.setdefault(key, []).append(f)
+    odd_syms = [[OddGenusSymbol(p, split[p].val, split[p].unit, t) for t in (QR, NQR)] for p in odd]
     # insertion order is the order of each genus's first class
-    local = [split[p] for p in odd]
     records = []
     for key, classes in groups.items():
         symbols: dict[int, LocalGenusSymbol] = {2: distinct[key & 3]}
         bit = 1 << 2
-        for p, d in zip(odd, local):
-            symbols[p] = _new_odd_symbol((p, d.val, d.unit, NQR if key & bit else QR))
+        for p, (qr, nqr) in zip(odd, odd_syms):
+            symbols[p] = nqr if key & bit else qr
             bit <<= 1
         records.append(_new_record((tuple(classes), symbols, genus_mass(len(classes), w))))
     return tuple(records)

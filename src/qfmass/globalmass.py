@@ -352,16 +352,16 @@ def total_mass_numeric(S: int, prime_bound: int = 10**5) -> dict:
 
     The total mass reads only the class count: every proper class of det S
     has w = mu_order(-S) proper automorphisms, so it is h/(2w) with
-    h = `class_count(S)`, the same Fraction as `genus_census(S).total_mass`
-    with no genus, form or symbol built.  S = 1, 2 (mod 4) has no class and
-    no L-value.  The L-value comes first, so a realizable S whose L-value
-    would need more than L_TERMS_MAX terms is refused before the class
-    scan."""
+    h = `class_count(S)`, read from `genus_mass`, the one mass formula, as
+    `genus_census(S).total_mass` is, with no genus, form or symbol built.
+    S = 1, 2 (mod 4) has no class and no L-value.  The L-value comes first,
+    so a realizable S whose L-value would need more than L_TERMS_MAX terms
+    is refused before the class scan."""
     if S <= 0:
         raise ValueError("determinant must be positive")
     if S % 4 in (0, 3):
         trunc = l_value_truncated(-S, prime_bound)
-        census = Fraction(class_count(S), 2 * mu_order(-S))
+        census = genus_mass(class_count(S), mu_order(-S))
         rhs = math.sqrt(S) / (4 * math.pi) * trunc.value
         rel = abs(rhs - float(census)) / float(census)
     else:
@@ -424,8 +424,8 @@ def dirichlet_check(D: int, prime_bound: int = 10**5) -> dict:
 # report serialization
 
 
-def _format_float(x: float | None) -> float | None:
-    return None if x is None else float(f"{x:.12g}")
+def _format_float(x: float) -> float:
+    return float(f"{x:.12g}")
 
 
 def report_json_obj(S: int, prime_bound: int = 10**5) -> dict:

@@ -173,33 +173,30 @@ def test_sieve_is_shared_by_factor_is_prime_and_l_values(cold_sieve):
     assert sieve_builds() == before
 
 
-# 0, 1 and 2 build no bitmap, and 3 one whose only entry, 1, reads back as
-# 2; at 4, 9, 10, 11, 25 and 26 the odd-only bitmap ends on or just below a
-# prime or an odd square
+# The one sieve sliced at each limit: 0, 1 and 2 give no prime, 3 only 2,
+# and at 4, 9, 10, 11, 25 and 26 the slice ends on or just below a prime or
+# an odd square
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 10, 11, 25, 26, 100, 10**5 + 1])
 def test_primes_below_matches_trial_division(cold_sieve, limit):
     expected = primes_by_trial_division(limit)
     if limit == 10**5 + 1:
         assert len(expected) == 9592  # pi(10^5)
-    ps = primes_below(limit)
-    assert type(ps) is tuple and all(type(p) is int for p in ps)
-    assert list(ps) == expected
-    # the default sieve sliced at the limit
     ps = primes_below()
+    assert sieve_builds() == 1
     assert list(ps[: bisect_left(ps, limit)]) == expected
-    assert list(primes_below(limit)) == expected
 
 
 def test_primes_below_million(cold_sieve):
-    ps = primes_below(10**6 + 1)
+    ps = primes_below()
     # Python ints, not numpy integers: an np.int64 p would overflow in p**nu
     assert type(ps) is tuple and all(type(p) is int for p in ps)
     assert len(ps) == 78_498  # pi(10^6)
-    assert all(a < b for a, b in zip(ps, ps[1:])) and ps[-1] < 10**6 + 1
-    # every entry is prime: a composite below 10^6 + 1 has a prime factor <= 1000
-    small = primes_by_trial_division(1001)
+    assert all(a < b for a, b in zip(ps, ps[1:])) and ps[-1] == 999_983
+    # every entry is prime: a composite below 10^6 has a prime factor < 1000
+    small = primes_by_trial_division(1000)
+    assert ps[: len(small)] == tuple(small)
     assert all(p in small or all(p % q for q in small) for p in ps)
-    assert primes_below() == ps[: bisect_left(ps, 10**6)]
+    assert primes_below() is ps and sieve_builds() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,19 @@ def test_verify_siegel(capsys):
     assert code == 0 and "PASS siegel" in out
 
 
+@pytest.mark.parametrize("suite", ["decomposition", "siegel"])
+def test_verify_refuses_a_walk_past_the_factorization_range(monkeypatch, capsys, suite):
+    """A walk up to 10^12 could never finish: it is refused before any census."""
+
+    def no_census(S):
+        raise AssertionError(f"census of {S}")
+
+    monkeypatch.setattr(euler, "genus_partition", no_census)
+    monkeypatch.setattr(cli, "genus_partition", no_census)
+    code, out, err = run_cli(capsys, "verify", suite, "--max-det", str(10**12))
+    assert code == 2 and out == "" and "factorization range" in err
+
+
 def test_verify_decomposition_reports_a_failing_identity(monkeypatch, capsys):
     """With the last genus of every S dropped the identity fails; each FAIL
     line prints both sides reduced, as `decomposition_check` returns them."""

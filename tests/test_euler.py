@@ -479,10 +479,10 @@ def test_genus_partition_equals_the_assigned_character_oracle():
 @pytest.mark.parametrize("S", [231, 1560, 4620, 99960])
 def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     """Each S has several genera of several classes, so per-class or
-    per-genus symbol work would show in the count.  The odd symbols come
-    straight from the grouping key, with no symbol call at all, and the
-    2-adic ones from four `two_adic_symbol` calls per S, one per odd
-    u1 (mod 8)."""
+    per-genus symbol work would show in the count.  The odd symbols are
+    built once per S, the QR and the NQR one at each odd p | S, and picked
+    by the grouping key, with no symbol call at all; the 2-adic ones come
+    from four `two_adic_symbol` calls per S, one per odd u1 (mod 8)."""
     calls = []
 
     def counting(name, fn):
@@ -502,6 +502,9 @@ def test_genus_partition_builds_local_symbols_once_per_genus(monkeypatch, S):
     assert calls == []
     info = localgenus.two_adic_symbol.cache_info()
     assert info.hits + info.misses == 4
+    for p in genera[0].symbols:
+        if p != 2:
+            assert len({id(rec.symbols[p]) for rec in genera}) <= 2, p
 
 
 def _genus_symbol_2_reference(f):
