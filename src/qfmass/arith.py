@@ -6,10 +6,10 @@ that the module keeps one fixed sieve of the primes < 10^6 per process
 (`primes_below()`, a tuple of Python ints built from an odd-only numpy
 bitmap) and memoizes `is_prime` and `smallest_nonresidue`; these caches
 change only speed and memory, never a result.  Each fact has one rule:
-`factor` is the one trial division over that sieve and `is_prime` reads
-primality off it, and the Legendre tag of a p-unit is Euler's criterion
-in `LocalSquareClass.of`, the rule the census key uses too; `kronecker`
-is the general symbol and the tests' oracle for that tag.
+`factor` is the one trial division over that sieve, read by `is_prime`;
+`valuation` is the one valuation loop; the Legendre tag of a p-unit is
+Euler's criterion in `LocalSquareClass.of`, as in the census key, and
+`kronecker`, the general symbol, is the tests' oracle for that tag.
 """
 from __future__ import annotations
 
@@ -93,15 +93,10 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 
 def valuation(m: int, p: int) -> int:
-    """Largest k with p^k | m.  Rejects m = 0 and p not prime."""
-    if p < 2 or not is_prime(p):
+    """Largest k with p^k | m.  Rejects m = 0 and p not prime, p <= 1
+    included, where the loop would not end or would divide by zero."""
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(m, p)
-
-
-def _valuation(m: int, p: int) -> int:
-    """`valuation` for a p the caller has checked to be prime; p = 1 or
-    p = 0 would loop forever or divide by zero.  Rejects m = 0."""
     if m == 0:
         raise ValueError("valuation of 0 is undefined")
     k = 0
@@ -243,10 +238,9 @@ class LocalSquareClass(_SquareClassFields):
     @staticmethod
     def of(m: int, p: int) -> "LocalSquareClass":
         """The squareclass of a nonzero integer m at a prime p: m = p^v u with
-        u a p-unit, and the tag u mod 8 at 2, or at odd p QR or NQR by
-        Euler's criterion, u^((p-1)/2) = 1 (mod p) or not."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        v = _valuation(m, p)
+        v = `valuation(m, p)`, which refuses m = 0 and p not prime, and the
+        tag u mod 8 at 2, or at odd p QR or NQR by Euler's criterion,
+        u^((p-1)/2) = 1 (mod p) or not."""
+        v = valuation(m, p)
         u = m // p**v  # exact for either sign: p^v divides m
         return LocalSquareClass(p, v, u % 8 if p == 2 else QR if pow(u, p >> 1, p) == 1 else NQR)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
+from .arith import LocalSquareClass, chi, factor, gamma_factor
 from .forms import QuadForm, mu_order, reduced_classes
-from .localgenus import LocalGenusSymbol, OddGenusSymbol, enumerate_local_genera, two_adic_symbol
+from .localgenus import LocalGenusSymbol, enumerate_local_genera, two_adic_symbol
 from .mass import density_product, density_ratio
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,14 @@ def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
 
 
 def a_coeff(p: int, u: int, nu: int) -> Fraction:
-    """A_p(u * p^nu) = M~^+ + M~^-, from the enumeration pipeline."""
+    """A_p(u * p^nu) = M~^+ + M~^-, from the enumeration pipeline.  Reads
+    only u's unit class at p and ignores its p-part."""
     return _ab_coeff(p, LocalSquareClass.of(u, p).unit, nu)[0]
 
 
 def b_coeff(p: int, u: int, nu: int) -> Fraction:
-    """B_p(u * p^nu) = M~^+ - M~^-, from the enumeration pipeline."""
+    """B_p(u * p^nu) = M~^+ - M~^-, from the enumeration pipeline.  Reads
+    only u's unit class at p and ignores its p-part."""
     return _ab_coeff(p, LocalSquareClass.of(u, p).unit, nu)[1]
 
 
@@ -200,16 +202,17 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
       and the odd value u1 = a, or c when a is even (b = S (mod 2), so a and
       c are not both even), and it reads only u1 mod 8.  So the four symbols
       at u1 = 1, 3, 5, 7 are built once per S, and the two key bits of a
-      class are the index, among the distinct ones in first-seen order, of
-      the symbol at (u1 >> 1) & 3.
+      class are the first index in that list of the symbol at
+      (u1 >> 1) & 3, where a genus reads its symbol back.
     - At an odd p | S the tag is t_p = (a|p), or (c|p) when p | a.
       A primitive f = (a, b, c) with 4ac - b^2 = S cannot have p | a and
       p | c (p would divide b too), and it splits over Z_p as
       <u1> + <S/u1> with u1 = a or c the p-unit; so its Jordan symbol is
       OddGenusSymbol(p, v, d, t_p) with (v, d) = `LocalSquareClass.of(S, p)`,
       fixed by S and split once per S by `_local_split`.  Equal t_p thus
-      means an equal odd symbol: the QR and the NQR symbol at p are built
-      once per S, and a genus's symbol at p is the one its key bit picks.
+      means an equal odd symbol.  At v >= 1 `enumerate_local_genera`
+      lists exactly the QR and the NQR symbol, read once per S, and a
+      genus's symbol at p is the one its key bit picks.
       The bit is t_p = -1 by Euler's criterion, u1^((p-1)/2) mod p != 1,
       the rule `LocalSquareClass.of` tags units by.
 
@@ -227,8 +230,7 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     w = mu_order(-S)
     sq2 = split[2]
     syms = [two_adic_symbol(sq2.val, sq2.unit, u1) for u1 in (1, 3, 5, 7)]
-    distinct = list(dict.fromkeys(syms))
-    key_2 = [distinct.index(sym) for sym in syms]
+    key_2 = [syms.index(sym) for sym in syms]
 
     groups: dict[int, list[QuadForm]] = {}
     for f in reduced_classes(S):
@@ -240,11 +242,11 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
                 key |= bit
             bit <<= 1
         groups.setdefault(key, []).append(f)
-    odd_syms = [[OddGenusSymbol(p, split[p].val, split[p].unit, t) for t in (QR, NQR)] for p in odd]
+    odd_syms = [enumerate_local_genera(split[p]) for p in odd]
     # insertion order is the order of each genus's first class
     records = []
     for key, classes in groups.items():
-        symbols: dict[int, LocalGenusSymbol] = {2: distinct[key & 3]}
+        symbols: dict[int, LocalGenusSymbol] = {2: syms[key & 3]}
         bit = 1 << 2
         for p, (qr, nqr) in zip(odd, odd_syms):
             symbols[p] = nqr if key & bit else qr

@@ -18,7 +18,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .arith import factor, kronecker
+from .arith import factor
 from .euler import GenusRecord, genus_mass, genus_partition
 from .forms import QuadForm, class_count, mu_order
 
@@ -83,9 +83,9 @@ def _legendre_table(p: int) -> np.ndarray:
 
 def _char_table(D: int) -> np.ndarray:
     """chi_D = (D|.) over one period P as int8: entry r is kronecker(D, r)
-    for 0 < r < P, and entry 0 is kronecker(D, P), so table[m % P] = chi_D(m)
-    for every m >= 1.  Built for D != 3 (mod 4) only: `_char_period` refuses
-    the rest, where chi_D has no period.
+    for 0 < r < P, and entry 0 is chi_D(P) = 0, as gcd(D, P) = |D| > 1, so
+    table[m % P] = chi_D(m) for every m >= 1.  Built only for the D that
+    `_l_terms` accepts, D < 0 and D != 3 (mod 4), where chi_D has a period.
 
     (D|r) is completely multiplicative in r.  Write |D| = 2^a prod p^e over
     odd primes p.  For odd r,
@@ -127,7 +127,7 @@ def _char_table(D: int) -> np.ndarray:
     table.reshape(-1, q)[:] *= sign[:q]
     if D % 2 == 0:
         table[::2] = 0
-    table[0] = kronecker(D, P)
+    table[0] = 0
     return table
 
 
@@ -468,8 +468,8 @@ def write_report_csv(objs: Iterable[dict], out: TextIO) -> None:
                 "genera": ";".join("|".join(map(str, g)) for g in obj["genera"]),
                 "mass_exact": obj["mass_exact"],
                 "kappa": obj["kappa"],
-                "rhs_numeric": f"{obj['rhs_numeric']:.12g}" if obj["rhs_numeric"] is not None else "",
-                "rel_err": f"{obj['rel_err']:.12g}" if obj["rel_err"] is not None else "",
+                "rhs_numeric": f"{obj['rhs_numeric']:.12g}",
+                "rel_err": f"{obj['rel_err']:.12g}",
             }
         )
 

@@ -164,18 +164,16 @@ def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, 
     The two genera share the determinant, so at every p their symbols share
     (p, nu, unit) and hence the generic density, which cancels from the
     quotient.  At a p where the two symbols are equal the whole factor
-    cancels, so only the primes where they differ are multiplied, as two
-    unreduced integer pairs reduced once into the returned `Fraction`."""
+    cancels: each p where they differ multiplies r1/r2 into one unreduced
+    integer pair, reduced once into the returned `Fraction`."""
     if symbols1.keys() != symbols2.keys():
         raise ValueError("genus symbol supports differ")
-    n1 = d1 = n2 = d2 = 1
+    n = d = 1
     for p, s1 in symbols1.items():
         s2 = symbols2[p]
         if s1 != s2:
             r1n, r1d = density_ratio(s1).as_integer_ratio()
             r2n, r2d = density_ratio(s2).as_integer_ratio()
-            n1 *= r1n
-            d1 *= r1d
-            n2 *= r2n
-            d2 *= r2d
-    return Fraction(n1 * d2, d1 * n2)
+            n *= r1n * r2d
+            d *= r1d * r2n
+    return Fraction(n, d)

@@ -24,6 +24,7 @@ from qfmass.arith import (
     kronecker,
     legendre,
     primes_below,
+    smallest_nonresidue,
     valuation,
 )
 from fractions import Fraction
@@ -234,6 +235,23 @@ def test_kronecker_completely_multiplicative():
         m2 = rng.randint(1, 500)
         a = rng.randint(-500, 500)
         assert kronecker(a, m1 * m2) == kronecker(a, m1) * kronecker(a, m2)
+
+
+def test_smallest_nonresidue_is_the_least_nonresidue():
+    # every NQR unit class at p is represented by it (`_tag_rep`)
+    for p in primes_by_trial_division(10**4)[1:]:
+        r = 2
+        while legendre(r, p) != -1:
+            r += 1
+        assert smallest_nonresidue(p) == r, p
+
+
+def test_smallest_nonresidue_refuses_non_odd_primes_and_memoizes_no_error():
+    before = smallest_nonresidue.cache_info().currsize
+    for n in (2, 1, 9, 2, 1, 9):
+        with pytest.raises(ValueError):
+            smallest_nonresidue(n)
+    assert smallest_nonresidue.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------

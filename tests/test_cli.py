@@ -73,7 +73,9 @@ def test_classify_refuses_oversized_l_value_before_the_census(monkeypatch, capsy
     assert code == 2 and out == "" and "L-value needs 1000000030 terms" in err
 
 
-@pytest.mark.parametrize("det_range", ["1:3000000", "1:1000000000000"])
+# 999990:1000009 ends on an unrealizable S, and 1000007 and 1000008 need more
+# than L_TERMS_MAX terms: the refusal must look back past the last S
+@pytest.mark.parametrize("det_range", ["1:3000000", "1:1000000000000", "999990:1000009"])
 def test_classify_refuses_an_oversized_range_before_any_census(monkeypatch, capsys, det_range):
     refuse_class_scans(monkeypatch)
     euler.genus_partition.cache_clear()

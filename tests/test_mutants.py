@@ -1,8 +1,9 @@
 """The README's mutant kill matrix states what `tools/mutants.py` expects,
-and the tool's ORACLES are oracle code only.
+each of the tool's mutants still applies to the source, and the tool's
+ORACLES are oracle code only.
 
-The first test parses the table and compares it with the tool's SUITES and
-MUTANTS; it runs no suite.  Row names are worded differently in the two
+No test here runs a suite.  The first compares the README table with the
+tool's SUITES and MUTANTS.  Row names are worded differently in the two
 places (ν against nu), so rows are matched by order and by their kills.
 """
 import ast
@@ -48,6 +49,13 @@ def test_readme_mutant_matrix_matches_the_tool():
         cells = row[1:]
         assert len(cells) == len(mutants.SUITES) and set(cells) <= {"KILL", "live"}, row
         assert {s for s, cell in zip(mutants.SUITES, cells) if cell == "KILL"} == m.kills, (row[0], m.name)
+
+
+def test_every_mutant_applies_exactly_once():
+    # `tools/mutants.py` refuses a mutant whose text is not found exactly once
+    for m in _load_mutants().MUTANTS:
+        text = (ROOT / "src" / "qfmass" / m.path).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1, (m.name, text.count(m.old))
 
 
 def _names_outside(node: ast.AST, owner: str | None, oracles: set[str]):

@@ -158,8 +158,8 @@ MUTANTS = (
     Mutant(
         "genus_mass_ratio inverted",
         "mass.py",
-        "return Fraction(n1 * d2, d1 * n2)",
-        "return Fraction(d1 * n2, n1 * d2)",
+        "return Fraction(n, d)",
+        "return Fraction(d, n)",
         frozenset(),
     ),
     # every genus of one S has the same density product, so each Siegel
