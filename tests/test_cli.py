@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -390,6 +391,61 @@ def test_interleaved_calls_in_one_process(capsys):
     again = run_cli(capsys, "classify", "--det", "23")
     assert (first[0], exc.value.code, siegel[0], again[0]) == (0, 2, 0, 0)
     assert again == first
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    """`main` builds the top-level parser once per process; after an argparse
+    usage error and two `_fail_usage` exits, the reused parser prints the
+    same bytes as a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["classify", "--det", "23"], ["euler", "--p", "3", "--unit", "1", "--which", "A"]) * 2:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built.count("qfmass") == 1
+
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--det", "23", "--det-range", "1:5"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "classify", "--det", "0")[0] == 2
+    assert run_cli(capsys, "verify", "siegel", "--max-det", "0")[0] == 2
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qfmass.__file__).parents[1]))
+    for argv in (["classify", "--det", "23"], ["verify", "siegel", "--max-det", "100"], ["--help"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qfmass.cli", *argv], env=env, capture_output=True, check=True, timeout=120
+        ).stdout
+        if argv == ["--help"]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+        else:
+            out = run_cli(capsys, *argv)[1]
+        assert out.encode("utf-8") == fresh, argv
+    assert built.count("qfmass") == 1
+
+
+def test_verify_closed_forms_fails_when_the_ledger_moves(monkeypatch, capsys):
+    report = cli.closed_form_report
+
+    def moved(p, u, which, terms):
+        rep = report(p, u, which, terms)
+        return dict(rep, printed_mismatch_at=rep["printed_mismatch_at"][1:]) if (p, u, which) == (2, 7, "B") else rep
+
+    monkeypatch.setattr(cli, "closed_form_report", moved)
+    code, out, _ = run_cli(capsys, "verify", "euler-closed-forms")
+    assert code == 1
+    assert "FAIL p=2 u=7 B: as-printed form disagrees with enumeration at nu=[6, 8, 10], documented nu=[2, 6, 8, 10]" in out
+    assert "FAIL p=2 table closed forms match enumeration" in out
+    assert sum(line.startswith("LEDGER") for line in out.splitlines()) == 5
 
 
 def test_classify_without_det_is_usage_error(capsys):
