@@ -7,9 +7,14 @@ that the module keeps one fixed sieve of the primes < 10^6 per process
 bitmap) and memoizes `is_prime` and `smallest_nonresidue`; these caches
 change only speed and memory, never a result.  Each fact has one rule:
 `factor` is the one trial division over that sieve, read by `is_prime`;
-`valuation` is the one valuation loop; the Legendre tag of a p-unit is
-Euler's criterion in `LocalSquareClass.of`, as in the census key, and
-`kronecker`, the general symbol, is the tests' oracle for that tag.
+`valuation` is the one valuation loop; the unit tag of a squareclass, u mod 8
+at 2 and at odd p the Legendre tag by Euler's criterion (as in the census
+key), has one home, the (p, v, unit) builder `LocalSquareClass._of_unit`,
+which `LocalSquareClass.of` calls after `valuation` and
+`euler._local_split` after `factor`.  `kronecker`, the general symbol, is
+the tests' oracle for that tag.  `gamma_factor` builds its one `Fraction`
+from the pair (p - chi, p), and `hilbert_symbol` builds none for `int`
+arguments, which already have a numerator and a denominator.
 """
 from __future__ import annotations
 
@@ -162,9 +167,13 @@ def hilbert_symbol(a, b, place) -> int:
     The symbol depends only on the squareclasses of a and b, which it reads
     from `LocalSquareClass.of`: at odd p the closed formula in valuation
     parities and Legendre tags, at 2 the mod-8 epsilon/omega formula; at OO
-    it is -1 iff both arguments are negative.
+    it is -1 iff both arguments are negative.  An `int` argument is read as
+    it is; any other rational goes through `Fraction`.
     """
-    a, b = Fraction(a), Fraction(b)
+    if not isinstance(a, int):
+        a = Fraction(a)
+    if not isinstance(b, int):
+        b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if place == OO:
@@ -195,8 +204,8 @@ def chi(u: int, p: int) -> int:
 
 
 def gamma_factor(u: int, p: int) -> Fraction:
-    """gamma_p(u) = 1 - chi_u(p)/p, exactly."""
-    return 1 - Fraction(chi(u, p), p)
+    """gamma_p(u) = 1 - chi_u(p)/p = (p - chi_u(p))/p, exactly."""
+    return Fraction(p - chi(u, p), p)
 
 
 # unit-class tags: odd p uses +1 (square) / -1 (non-square); p = 2 uses the
@@ -239,8 +248,14 @@ class LocalSquareClass(_SquareClassFields):
     def of(m: int, p: int) -> "LocalSquareClass":
         """The squareclass of a nonzero integer m at a prime p: m = p^v u with
         v = `valuation(m, p)`, which refuses m = 0 and p not prime, and the
-        tag u mod 8 at 2, or at odd p QR or NQR by Euler's criterion,
-        u^((p-1)/2) = 1 (mod p) or not."""
+        class of the p-unit u by `_of_unit`."""
         v = valuation(m, p)
-        u = m // p**v  # exact for either sign: p^v divides m
+        return LocalSquareClass._of_unit(p, v, m // p**v)  # exact for either sign: p^v divides m
+
+    @staticmethod
+    def _of_unit(p: int, v: int, u: int) -> "LocalSquareClass":
+        """The squareclass of p^v u, for a prime p and a p-unit u: the one
+        home of the tag rule, u mod 8 at 2, or at odd p QR or NQR by Euler's
+        criterion, u^((p-1)/2) = 1 (mod p) or not.  It checks neither p nor
+        u; `of` and `euler._local_split` pass a prime and a p-unit."""
         return LocalSquareClass(p, v, u % 8 if p == 2 else QR if pow(u, p >> 1, p) == 1 else NQR)

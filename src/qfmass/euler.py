@@ -62,13 +62,18 @@ def _row(num, den=(1,)) -> RationalFunction:
 def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
     """(A, B) at the determinant class unit * p^nu, in one pass over its
     local genera.  The normalized mass sum M~^eps adds beta_generic/beta_G
-    over the genera of Hasse label eps, so M~^+- = (A +- B)/2."""
-    A = B = Fraction(0)
+    over the genera of Hasse label eps, so M~^+- = (A +- B)/2.  A and B are
+    summed as integer numerators over one common denominator, each reduced
+    once into a `Fraction`."""
+    an = bn = 0
+    d = 1
     for sym in enumerate_local_genera(LocalSquareClass(p, nu, unit)):
-        r = density_ratio(sym)
-        A += r
-        B += sym.label * r
-    return A, B
+        rn, rd = density_ratio(sym).as_integer_ratio()
+        if rd != d:  # bring both sums and the term to the denominator d * rd
+            an, bn, rn, d = an * rd, bn * rd, rn * d, d * rd
+        an += rn
+        bn += sym.label * rn
+    return Fraction(an, d), Fraction(bn, d)
 
 
 def a_coeff(p: int, u: int, nu: int) -> Fraction:
@@ -178,9 +183,16 @@ def genus_mass(n: int, w: int) -> Fraction:
 def _local_split(S: int) -> dict[int, LocalSquareClass]:
     """S's valuation and unit class, `LocalSquareClass.of(S, p)`, at p = 2
     and at each odd p | S in increasing order: split once per S for the
-    census and both decomposition checks.  Shared, so no caller may mutate
-    it."""
-    return {p: LocalSquareClass.of(S, p) for p in [2] + [p for p, _ in factor(S) if p != 2]}
+    census and both decomposition checks.  The valuations are the exponents
+    of `factor(S)`, so no prime is tested or divided out again, and each
+    class comes from `LocalSquareClass._of_unit`, the builder that `of`
+    calls.  Shared, so no caller may mutate it."""
+    exponents = dict(factor(S))
+    v2 = exponents.pop(2, 0)
+    split = {2: LocalSquareClass._of_unit(2, v2, S >> v2)}
+    for p, v in exponents.items():
+        split[p] = LocalSquareClass._of_unit(p, v, S // p**v)
+    return split
 
 
 @lru_cache(maxsize=1)

@@ -16,6 +16,12 @@ check calls that loop once per genus it sums; `genus_mass_ratio` forms no
 product, since equal symbols cancel exactly, and reads `density_ratio` only
 at the primes where the two genera differ.  No genus record keeps a
 product.
+
+Each density is built from integer pairs and normalized once: a row reads
+the numerator and denominator of `gamma_factor` (`as_integer_ratio`) and
+returns one `Fraction`, and `density_ratio` combines the pairs of its two
+densities into one `Fraction`, so no chain of `Fraction` operations takes a
+gcd at every step.
 """
 from __future__ import annotations
 
@@ -45,9 +51,13 @@ def local_density_inverse(g: LocalGenusSymbol) -> Fraction:
     """
     p, nu = g.p, g.nu
     if p != 2:
-        return 1 / gamma_factor(g.unit_rep(), p) if nu == 0 else Fraction(1, 2 * p**nu)
+        if nu:
+            return Fraction(1, 2 * p**nu)
+        n, d = gamma_factor(g.unit_rep(), p).as_integer_ratio()
+        return Fraction(d, n)  # 1/gamma_p(u)
     if nu == 0:
-        return 2 / gamma_factor(g.unit, 2)
+        n, d = gamma_factor(g.unit, 2).as_integer_ratio()
+        return Fraction(2 * d, n)  # 2/gamma_2(u)
     if nu == 2:
         return Fraction(1, 4) if g.unit % 4 == 1 else Fraction(1, 2)
     if nu in (3, 4):
@@ -61,8 +71,8 @@ def generic_density_inverse(p: int, u) -> Fraction:
     """Inverse generic local density at p of the normalized unit class u:
     gamma_p(u)^-1 at odd p, and 2 * gamma_2(u)^-1 at p = 2 (one fixed
     convention for every unit class)."""
-    g = gamma_factor(u, p)
-    return (2 if p == 2 else 1) / g
+    n, d = gamma_factor(u, p).as_integer_ratio()
+    return Fraction(2 * d if p == 2 else d, n)
 
 
 @lru_cache(maxsize=None)
@@ -70,8 +80,11 @@ def density_ratio(g: LocalGenusSymbol) -> Fraction:
     """beta_generic / beta_G at the symbol's prime: the normalized density
     entering the local mass sums.  Memoized per symbol, the only density
     memo: a symbol is an immutable tuple that hashes as its fields, and the
-    value reads only those fields."""
-    return local_density_inverse(g) / generic_density_inverse(g.p, g.unit_rep())
+    value reads only those fields.  The quotient is taken on the integer
+    pairs of the two densities and reduced once."""
+    ln, ld = local_density_inverse(g).as_integer_ratio()
+    gn, gd = generic_density_inverse(g.p, g.unit_rep()).as_integer_ratio()
+    return Fraction(ln * gd, ld * gn)
 
 
 def count_SO_mod_p(f: QuadForm, p: int) -> int:

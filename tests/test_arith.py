@@ -350,6 +350,19 @@ def test_hilbert_rejects_zero():
         hilbert_symbol(0, 3, 5)
 
 
+def test_hilbert_on_ints_equals_hilbert_on_fractions():
+    """Int arguments are read as they are, with no `Fraction` built: the
+    same symbol as on their `Fraction`s, the same refusals."""
+    grid = [n for n in range(-60, 61) if n] + [-2**31, 3 * 2**40, 5**20, -(7**15)]
+    for place in (2, 3, 5, 7, 13, OO):
+        for a in grid:
+            for b in grid[::3]:
+                assert hilbert_symbol(a, b, place) == hilbert_symbol(Fraction(a), Fraction(b), place), (a, b, place)
+    for a, b, place in ((0, 3, 5), (3, 0, 2), (0, 0, OO), (3, 5, 1), (3, 5, 4), (3, 5, 0), (3, 5, -3)):
+        with pytest.raises(ValueError):
+            hilbert_symbol(a, b, place)
+
+
 # ---------------------------------------------------------------------------
 # chi and gamma
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qfmass import cli, euler, forms, globalmass, localgenus
-from qfmass.arith import LocalSquareClass, factor, gamma_factor, legendre
+from qfmass.arith import LocalSquareClass, factor, gamma_factor, legendre, valuation
 from qfmass.euler import (
     GenusRecord,
     RationalFunction,
@@ -356,15 +356,16 @@ def test_genus_partition_builds_once_per_determinant():
 def test_census_and_both_checks_split_S_once(monkeypatch):
     """S is split at 2 and at each odd p | S once, for the census and both
     decomposition checks; only a constraint prime not dividing 2S is split
-    by the check itself."""
+    by the check itself.  Every split, `_local_split`'s and
+    `LocalSquareClass.of`'s alike, goes through the builder `_of_unit`."""
     calls = []
-    split = LocalSquareClass.of
+    build = LocalSquareClass._of_unit
 
-    def counting(m, p):
-        calls.append((m, p))
-        return split(m, p)
+    def counting(p, v, u):
+        calls.append((p, v, u))
+        return build(p, v, u)
 
-    monkeypatch.setattr(LocalSquareClass, "of", staticmethod(counting))
+    monkeypatch.setattr(LocalSquareClass, "_of_unit", staticmethod(counting))
     for S, cons in ((4620, {7: -1, 13: 1}), (99960, {3: 1, 5: -1}), (75, {2: -1, 5: -1})):
         for _ in range(2):  # the first round fills the memos of the local coefficients
             euler._local_split.cache_clear()
@@ -375,7 +376,16 @@ def test_census_and_both_checks_split_S_once(monkeypatch):
             decomposition_check(S, cons)
         primes = [2] + [p for p, _ in factor(S) if p != 2]
         outside = [p for p in sorted(cons) if p not in primes]
-        assert calls == [(S, p) for p in primes + outside], S
+        assert calls == [(p, valuation(S, p), S // p ** valuation(S, p)) for p in primes + outside], S
+
+
+def test_local_split_equals_the_squareclasses_of_S():
+    """The split read off `factor(S)` is `LocalSquareClass.of(S, p)` at 2 and
+    at each odd p | S, in that order."""
+    for S in [*range(1, 5000), *range(99000, 99400)]:
+        split = euler._local_split.__wrapped__(S)
+        primes = [2] + [p for p, _ in factor(S) if p != 2]
+        assert list(split.items()) == [(p, LocalSquareClass.of(S, p)) for p in primes], S
 
 
 def test_unrealizable_S_is_neither_scanned_nor_split(monkeypatch):

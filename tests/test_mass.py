@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qfmass.arith import NQR, QR, LocalSquareClass, factor, gamma_factor
-from qfmass.euler import genus_partition
+from qfmass.arith import NQR, QR, LocalSquareClass, chi, factor, gamma_factor
+from qfmass.euler import _ab_coeff, genus_partition
 from qfmass.forms import QuadForm, det_hessian
 from qfmass.globalmass import genus_census
 from qfmass.localgenus import enumerate_local_genera, jordan_split_odd, local_symbol, representative_form
@@ -277,3 +277,71 @@ def test_density_memos_return_the_unmemoized_values():
             symbols += g.symbols.values()
     memo = [density_ratio(sym) for sym in symbols]
     assert memo == [density_ratio.__wrapped__(sym) for sym in symbols]
+
+
+# ---------------------------------------------------------------------------
+# the integer-pair builds against the plain `Fraction` formulas
+
+
+def _gamma_reference(u, p):
+    return 1 - Fraction(chi(u, p), p)
+
+
+def _local_density_inverse_reference(g):
+    p, nu = g.p, g.nu
+    if p != 2:
+        return 1 / _gamma_reference(g.unit_rep(), p) if nu == 0 else Fraction(1, 2 * p**nu)
+    if nu == 0:
+        return 2 / _gamma_reference(g.unit, 2)
+    if nu == 2:
+        return Fraction(1, 4) if g.unit % 4 == 1 else Fraction(1, 2)
+    if nu in (3, 4):
+        return Fraction(1, 2**nu)
+    return Fraction(1, 2 ** (nu + 1))
+
+
+def _generic_density_inverse_reference(p, u):
+    return (2 if p == 2 else 1) / _gamma_reference(u, p)
+
+
+def _density_ratio_reference(g):
+    return _local_density_inverse_reference(g) / _generic_density_inverse_reference(g.p, g.unit_rep())
+
+
+def _ab_coeff_reference(p, unit, nu):
+    A = B = Fraction(0)
+    for sym in enumerate_local_genera(LocalSquareClass(p, nu, unit)):
+        r = _density_ratio_reference(sym)
+        A += r
+        B += sym.label * r
+    return A, B
+
+
+def test_integer_pair_densities_equal_the_fraction_formulas():
+    """Every density of every local genus at p <= 13, nu <= 12, and every
+    (A, B), equals the formula written with `Fraction` operators, and is a
+    `Fraction`."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for g in _local_genera(p, 12):
+            u = g.unit_rep()
+            pairs = [
+                (local_density_inverse(g), _local_density_inverse_reference(g)),
+                (generic_density_inverse(p, u), _generic_density_inverse_reference(p, u)),
+                (density_ratio(g), _density_ratio_reference(g)),
+                (density_ratio.__wrapped__(g), _density_ratio_reference(g)),
+            ]
+            for got, want in pairs:
+                assert got == want and type(got) is Fraction, (g, got, want)
+        for nu in range(13):
+            for unit in (1, 3, 5, 7) if p == 2 else (QR, NQR):
+                got = _ab_coeff.__wrapped__(p, unit, nu)
+                assert got == _ab_coeff_reference(p, unit, nu), (p, unit, nu)
+                assert all(type(x) is Fraction for x in got), (p, unit, nu)
+
+
+def test_gamma_factor_equals_the_fraction_formula():
+    for p in (2, 3, 5, 7, 11, 13, 97):
+        for u in range(-40, 41):
+            if u:
+                got = gamma_factor(u, p)
+                assert got == _gamma_reference(u, p) and type(got) is Fraction, (u, p)

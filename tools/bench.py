@@ -13,8 +13,8 @@ Runs, one after another and all from this checkout:
 - every `tools/peak_rss.py` line of `.github/workflows/tests.yml`, with the
   bounds as written there.
 
-Each command imports qfmass from this checkout's `src/`, and the `qfmass`
-command that `tools/peak_rss.py` starts runs it too, not an installed copy.
+Each command imports qfmass from this checkout's `src/`, not an installed
+copy; `tools/peak_rss.py` runs this checkout on its own.
 The file is written even when a step fails; the tool then exits 1.
 """
 from __future__ import annotations
@@ -25,7 +25,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -103,27 +102,22 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    with tempfile.TemporaryDirectory() as shim:
-        # the `qfmass` that tools/peak_rss.py starts: this checkout's entry point
-        script = Path(shim) / "qfmass"
-        script.write_text(f"#!{sys.executable}\nimport sys\nfrom qfmass.cli import main\nsys.exit(main())\n")
-        script.chmod(0o755)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PATH=f"{shim}{os.pathsep}{os.environ.get('PATH', '')}")
-        bench = {
-            "n": int(argv[0]),
-            "commit": _git("rev-parse", "HEAD"),
-            "dirty": bool(_git("status", "--porcelain")),
-            "python": sys.version.split()[0],
-            "nproc": len(os.sched_getaffinity(0)),
-            "workloads": {},
-        }
-        for name in workloads:
-            print(f"workload {name}", file=sys.stderr)
-            bench["workloads"][name] = _workload(name, env)
-        print("peak RSS", file=sys.stderr)
-        bench["peak_rss"] = [_peak_rss(args, env) for args in peak_rss_lines(WORKFLOW.read_text())]
-        print("tier-1", file=sys.stderr)
-        bench["tier1"] = _tier1(env)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    bench = {
+        "n": int(argv[0]),
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain")),
+        "python": sys.version.split()[0],
+        "nproc": len(os.sched_getaffinity(0)),
+        "workloads": {},
+    }
+    for name in workloads:
+        print(f"workload {name}", file=sys.stderr)
+        bench["workloads"][name] = _workload(name, env)
+    print("peak RSS", file=sys.stderr)
+    bench["peak_rss"] = [_peak_rss(args, env) for args in peak_rss_lines(WORKFLOW.read_text())]
+    print("tier-1", file=sys.stderr)
+    bench["tier1"] = _tier1(env)
     out = ROOT / f"BENCH_{argv[0]}.json"
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(out)

@@ -71,8 +71,8 @@ MUTANTS = (
     Mutant(
         "2-adic nu = 0 density doubled",
         "mass.py",
-        "        return 2 / gamma_factor(g.unit, 2)\n",
-        "        return 1 / gamma_factor(g.unit, 2)\n",
+        "return Fraction(2 * d, n)",
+        "return Fraction(d, n)",
         frozenset({"euler-closed-forms"}),
     ),
     Mutant(
@@ -197,6 +197,15 @@ MUTANTS = (
         "Fraction(-1, 8)",
         "Fraction(-1, 4)",
         frozenset({"euler-closed-forms"}),
+    ),
+    # B then equals A at every (p, unit, nu): the B closed forms and the
+    # decomposition identity's B product both fail
+    Mutant(
+        "_ab_coeff drops the Hasse label from B",
+        "euler.py",
+        "bn += sym.label * rn",
+        "bn += rn",
+        frozenset({"decomposition", "euler-closed-forms"}),
     ),
 )
 
