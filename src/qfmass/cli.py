@@ -222,17 +222,9 @@ def _class_number(dmax: int, tol: float, prime_bound: int) -> Generator[str, Non
     )
 
 
-def _odd_closed_forms() -> Generator[str, None, str]:
-    for p in (3, 5, 7, 11, 13):
-        for u, which in itertools.product((1, smallest_nonresidue(p)), ("A", "B")):
-            rep = closed_form_report(p, u, which, 11)
-            if not (rep["table_matches"] and rep["printed_matches"]):
-                yield f"FAIL closed-form p={p} u={u} {which}"
-    return "odd-p closed forms match enumeration (nu <= 10)"
-
-
 # (u, A|B) -> the nu <= 10 at which the as-printed p = 2 closed form differs
-# from the enumeration: the documented discrepancies, and the only ones
+# from the enumeration: the documented discrepancies, and the only ones.  At
+# odd p both variants are the same row, so none is documented there.
 TWO_ADIC_LEDGER = {
     (1, "A"): list(range(11)),
     (1, "B"): [],
@@ -245,23 +237,26 @@ TWO_ADIC_LEDGER = {
 }
 
 
-def _two_adic_closed_forms() -> Generator[str, None, str]:
-    for u, which in itertools.product((1, 3, 5, 7), ("A", "B")):
-        rep = closed_form_report(2, u, which, 11)
-        if not rep["table_matches"]:
-            yield f"FAIL p=2 table closed form u={u} {which}"
-        at, documented = rep["printed_mismatch_at"], TWO_ADIC_LEDGER[u, which]
-        if at != documented:
-            yield (
-                f"FAIL p=2 u={u} {which}: as-printed form disagrees with enumeration"
-                f" at nu={at}, documented nu={documented}"
-            )
-        elif at:
-            yield (
-                f"LEDGER p=2 u={u} {which}: as-printed form disagrees with enumeration"
-                f" at nu={at} (documented discrepancy, not fatal)"
-            )
-    return "p=2 table closed forms match enumeration"
+def _closed_forms(units_by_prime: dict[int, Iterable[int]], title: str) -> Generator[str, None, str]:
+    """Each table row matches the enumeration at nu <= 10, and each as-printed
+    row misses it only where documented."""
+    for p, units in units_by_prime.items():
+        for u, which in itertools.product(units, ("A", "B")):
+            rep = closed_form_report(p, u, which, 11)
+            if not rep["table_matches"]:
+                yield f"FAIL p={p} table closed form u={u} {which}"
+            at, documented = rep["printed_mismatch_at"], TWO_ADIC_LEDGER[u, which] if p == 2 else []
+            if at != documented:
+                yield (
+                    f"FAIL p={p} u={u} {which}: as-printed form disagrees with enumeration"
+                    f" at nu={at}, documented nu={documented}"
+                )
+            elif at:
+                yield (
+                    f"LEDGER p={p} u={u} {which}: as-printed form disagrees with enumeration"
+                    f" at nu={at} (documented discrepancy, not fatal)"
+                )
+    return title
 
 
 def cmd_verify(args) -> int:
@@ -290,7 +285,9 @@ def cmd_verify(args) -> int:
             return _fail_usage(f"--dmax {args.dmax}: {exc}")
         suites = [_class_number(args.dmax, args.tol, args.prime_bound)]
     else:
-        suites = [_odd_closed_forms(), _two_adic_closed_forms()]
+        odd = {p: (1, smallest_nonresidue(p)) for p in (3, 5, 7, 11, 13)}
+        odd_suite = _closed_forms(odd, "odd-p closed forms match enumeration (nu <= 10)")
+        suites = [odd_suite, _closed_forms({2: (1, 3, 5, 7)}, "p=2 table closed forms match enumeration")]
     # written once every verdict is known: a closed stdout keeps the exit code
     lines: list[str] = []
     passed = [_verdict(lines, suite) for suite in suites]

@@ -60,20 +60,19 @@ def _row(num, den=(1,)) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def _ab_coeff(p: int, unit: int, nu: int) -> tuple[Fraction, Fraction]:
-    """(A, B) at the determinant class unit * p^nu, in one pass over its
-    local genera.  The normalized mass sum M~^eps adds beta_generic/beta_G
-    over the genera of Hasse label eps, so M~^+- = (A +- B)/2.  A and B are
-    summed as integer numerators over one common denominator, each reduced
-    once into a `Fraction`."""
-    an = bn = 0
-    d = 1
-    for sym in enumerate_local_genera(LocalSquareClass(p, nu, unit)):
-        rn, rd = density_ratio(sym).as_integer_ratio()
-        if rd != d:  # bring both sums and the term to the denominator d * rd
-            an, bn, rn, d = an * rd, bn * rd, rn * d, d * rd
-        an += rn
-        bn += sym.label * rn
-    return Fraction(an, d), Fraction(bn, d)
+    """(A, B) at the determinant class unit * p^nu.  The normalized mass sum
+    M~^eps adds beta_generic/beta_G over the local genera of Hasse label
+    eps, so M~^+- = (A +- B)/2.
+
+    In rank 2 every genus of one class has the same ratio r: both densities
+    read only the class's (p, nu, unit), never the genus's own data.  So A is
+    r times the number of genera and B is r times the sum of their labels,
+    with one `density_ratio` read per class; (0, 0) when it has no genus."""
+    genera = enumerate_local_genera(LocalSquareClass(p, nu, unit))
+    if not genera:
+        return Fraction(0), Fraction(0)
+    r = density_ratio(genera[0])
+    return r * len(genera), r * sum(sym.label for sym in genera)
 
 
 def a_coeff(p: int, u: int, nu: int) -> Fraction:

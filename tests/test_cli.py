@@ -448,6 +448,27 @@ def test_verify_closed_forms_fails_when_the_ledger_moves(monkeypatch, capsys):
     assert sum(line.startswith("LEDGER") for line in out.splitlines()) == 5
 
 
+def test_verify_closed_forms_fails_on_an_odd_p_as_printed_mismatch(monkeypatch, capsys):
+    """The one closed-form loop holds odd p to no documented mismatch: a
+    planted one at (3, 1, A) fails the odd-p verdict alone, and the p = 2
+    LEDGER lines stay in place."""
+    _, before, _ = run_cli(capsys, "verify", "euler-closed-forms")
+    report = cli.closed_form_report
+
+    def planted(p, u, which, terms):
+        rep = report(p, u, which, terms)
+        return dict(rep, printed_matches=False, printed_mismatch_at=[4]) if (p, u, which) == (3, 1, "A") else rep
+
+    monkeypatch.setattr(cli, "closed_form_report", planted)
+    code, out, _ = run_cli(capsys, "verify", "euler-closed-forms")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL p=3 u=1 A: as-printed form disagrees with enumeration at nu=[4], documented nu=[]" in lines
+    assert "FAIL odd-p closed forms match enumeration (nu <= 10)" in lines
+    assert "PASS p=2 table closed forms match enumeration" in lines
+    assert [x for x in lines if x.startswith("LEDGER")] == [x for x in before.splitlines() if x.startswith("LEDGER")]
+
+
 def test_classify_without_det_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])

@@ -320,7 +320,8 @@ def _ab_coeff_reference(p, unit, nu):
 def test_integer_pair_densities_equal_the_fraction_formulas():
     """Every density of every local genus at p <= 13, nu <= 12, and every
     (A, B), equals the formula written with `Fraction` operators, and is a
-    `Fraction`."""
+    `Fraction`.  All genera of one determinant class share one
+    `density_ratio`, the rank-2 fact `_ab_coeff` reads one ratio by."""
     for p in (2, 3, 5, 7, 11, 13):
         for g in _local_genera(p, 12):
             u = g.unit_rep()
@@ -334,6 +335,8 @@ def test_integer_pair_densities_equal_the_fraction_formulas():
                 assert got == want and type(got) is Fraction, (g, got, want)
         for nu in range(13):
             for unit in (1, 3, 5, 7) if p == 2 else (QR, NQR):
+                ratios = {density_ratio(g) for g in enumerate_local_genera(LocalSquareClass(p, nu, unit))}
+                assert len(ratios) <= 1, (p, unit, nu, ratios)
                 got = _ab_coeff.__wrapped__(p, unit, nu)
                 assert got == _ab_coeff_reference(p, unit, nu), (p, unit, nu)
                 assert all(type(x) is Fraction for x in got), (p, unit, nu)

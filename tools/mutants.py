@@ -203,9 +203,18 @@ MUTANTS = (
     Mutant(
         "_ab_coeff drops the Hasse label from B",
         "euler.py",
-        "bn += sym.label * rn",
-        "bn += rn",
+        "r * sum(sym.label for sym in genera)",
+        "r * len(genera)",
         frozenset({"decomposition", "euler-closed-forms"}),
+    ),
+    # the 50 seeded constraint instances of `verify decomposition` miss it;
+    # tier-1's exhaustive constraint test over S <= 2000 kills it
+    Mutant(
+        "constrained factor divides A by B's denominator",
+        "euler.py",
+        "kn *= a_n * b_d + c * b_n * a_d",
+        "kn *= a_n // b_d + c * b_n * a_d",
+        frozenset(),
     ),
 )
 
