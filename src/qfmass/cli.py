@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 from collections.abc import Generator, Iterable, Iterator
 
@@ -147,8 +146,8 @@ def _rf_str(rf) -> str:
     return f"({poly(rf.num)}) / ({poly(rf.den)})"
 
 
-# Hasse-constrained decomposition checks per run, drawn from a fixed seed
-CONSTRAINED_INSTANCES = 50
+# Largest S the Hasse-constrained decomposition walk visits
+CONSTRAINED_MAX_DET = 2000
 
 # Most FAIL lines one verdict prints before its summary line
 FAIL_LINES_MAX = 10
@@ -171,21 +170,26 @@ def _verdict(out: list[str], suite: Generator[str, None, str]) -> bool:
 
 
 def _decomposition(cases: Iterable[tuple[int, dict | None]], title: str) -> Generator[str, None, str]:
+    """Check each case; the title may name the number of cases as `{cases}`."""
+    checked = 0
     for S, cons in cases:
+        checked += 1
         res = decomposition_check(S, cons)
         if not res["equal"]:
             at = f"S={S} constraints={cons}" if cons else f"S={S}"
             yield f"FAIL decomposition {at}: lhs={res['lhs']} rhs={res['rhs']}"
-    return title
+    return title.format(cases=checked)
 
 
 def _constrained_cases(max_det: int) -> Iterator[tuple[int, dict]]:
-    rng = random.Random(20237)
-    for _ in range(CONSTRAINED_INSTANCES):
-        S = rng.randint(1, max_det)
-        pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
-        primes = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-        yield S, {p: rng.choice((1, -1)) for p in primes}
+    """Every S <= min(max_det, CONSTRAINED_MAX_DET) under every sign vector on
+    every 1-, 2- and 3-subset of {2, 3, 5} u {p | S}, one case at a time."""
+    for S in range(1, min(max_det, CONSTRAINED_MAX_DET) + 1):
+        pool = sorted({2, 3, 5} | {p for p, _ in factor(S)})
+        for k in (1, 2, 3):
+            for primes in itertools.combinations(pool, k):
+                for signs in itertools.product((1, -1), repeat=k):
+                    yield S, dict(zip(primes, signs))
 
 
 def _sign_tuples() -> Generator[str, None, str]:
@@ -265,7 +269,7 @@ def cmd_verify(args) -> int:
             return _fail_usage("--max-det must be at least 1")
         check_factorable(args.max_det)  # a walk to 10^12 could never finish
         n = args.max_det
-        constrained = f"decomposition constrained ({CONSTRAINED_INSTANCES} instances)"
+        constrained = f"decomposition constrained S<={min(n, CONSTRAINED_MAX_DET)} ({{cases}} cases)"
         suites = [
             _decomposition(((S, None) for S in range(1, n + 1)), f"decomposition unconstrained S<={n}"),
             _decomposition(_constrained_cases(n), constrained),

@@ -12,10 +12,8 @@ out of every hot path, as `count_SO_mod_p` is.
 `density_ratio`, the row over the generic density at the same (p, unit), is
 the one memoized value per symbol: the local mass sums read it, and so does
 `density_product`, the one product loop over a genus.  The decomposition
-check calls that loop once per genus it sums; `genus_mass_ratio` forms no
-product, since equal symbols cancel exactly, and reads `density_ratio` only
-at the primes where the two genera differ.  No genus record keeps a
-product.
+check calls that loop once per genus it sums, and `genus_mass_ratio` is the
+quotient of two of its products.  No genus record keeps a product.
 
 Each density is built from integer pairs and normalized once: a row reads
 the numerator and denominator of `gamma_factor` (`as_integer_ratio`) and
@@ -161,7 +159,9 @@ def aut_density_mod_pk(f: QuadForm, p: int, k: int) -> Fraction:
 
 def density_product(symbols: dict[int, LocalGenusSymbol]) -> tuple[int, int]:
     """prod over the symbols of beta_gen/beta_G (`density_ratio`), as an
-    unreduced pair (numerator, denominator) of positive integers."""
+    unreduced pair (numerator, denominator) of positive integers: the one
+    product loop over a genus, read by the decomposition check and by
+    `genus_mass_ratio`."""
     n = d = 1
     for sym in symbols.values():
         rn, rd = density_ratio(sym).as_integer_ratio()
@@ -172,21 +172,13 @@ def density_product(symbols: dict[int, LocalGenusSymbol]) -> tuple[int, int]:
 
 def genus_mass_ratio(symbols1: dict[int, LocalGenusSymbol], symbols2: dict[int, LocalGenusSymbol]) -> Fraction:
     """Ratio of Siegel masses of two genera with equal determinant, as the
-    ratio of their products of `density_ratio` over p | 2 det.
+    quotient of their `density_product`s over p | 2 det, reduced once.
 
     The two genera share the determinant, so at every p their symbols share
     (p, nu, unit) and hence the generic density, which cancels from the
-    quotient.  At a p where the two symbols are equal the whole factor
-    cancels: each p where they differ multiplies r1/r2 into one unreduced
-    integer pair, reduced once into the returned `Fraction`."""
+    quotient."""
     if symbols1.keys() != symbols2.keys():
         raise ValueError("genus symbol supports differ")
-    n = d = 1
-    for p, s1 in symbols1.items():
-        s2 = symbols2[p]
-        if s1 != s2:
-            r1n, r1d = density_ratio(s1).as_integer_ratio()
-            r2n, r2d = density_ratio(s2).as_integer_ratio()
-            n *= r1n * r2d
-            d *= r1d * r2n
-    return Fraction(n, d)
+    n1, d1 = density_product(symbols1)
+    n2, d2 = density_product(symbols2)
+    return Fraction(n1 * d2, d1 * n2)

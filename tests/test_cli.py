@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import pytest
 
 import qfmass
 from qfmass import cli, euler, forms, globalmass
+from qfmass.arith import factor
 from qfmass.cli import main
 
 
@@ -217,6 +219,21 @@ def test_verify_decomposition(capsys):
     assert "PASS sign-tuple" in out
 
 
+def test_constrained_cases_walk_every_sign_vector_once():
+    """The constraint walk is fixed, stops at CONSTRAINED_MAX_DET and gives
+    each (S, primes) on {2, 3, 5} u {p | S} all of its sign vectors."""
+    assert len(list(cli._constrained_cases(1))) == 6 + 12 + 8
+    walks = itertools.zip_longest(*map(cli._constrained_cases, (2000, 2000, 5000)))
+    assert all(x == y == z for x, y, z in walks)
+    signs: dict[tuple[int, tuple[int, ...]], set[tuple[int, ...]]] = {}
+    for S, cons in cli._constrained_cases(2000):
+        assert set(cons) <= {2, 3, 5} | {p for p, _ in factor(S)}, (S, cons)
+        signs.setdefault((S, tuple(cons)), set()).add(tuple(cons.values()))
+    assert sum(map(len, signs.values())) == 156848
+    assert all(len(v) == 2 ** len(primes) for (_, primes), v in signs.items())
+    assert (1,) in signs[12, (2,)]
+
+
 def test_verify_siegel(capsys):
     code, out, _ = run_cli(capsys, "verify", "siegel", "--max-det", "150")
     assert code == 0 and "PASS siegel" in out
@@ -282,7 +299,7 @@ def test_verify_class_number_prints_at_most_10_failures(capsys):
             "verify decomposition --max-det 60",
             "decomposition_check",
             lambda real: lambda S, cons=None: dict(real(S, cons), equal=not cons),
-            {"decomposition constrained (50 instances)": 10},
+            {"decomposition constrained S<=60 (2852 cases)": 10},
         ),
         (
             "verify decomposition --max-det 60",
@@ -518,9 +535,9 @@ def test_verify_rejects_empty_range(capsys, argv, flag):
 GOLDEN_SHA256 = {
     "classify --det-range 1:40": "36ffdf7bd4d433d0e5c3cfc8e1374764afbc43abc28cbcd162c307179253549b",
     "classify --det-range 1:40 --format csv": "1a577cb969b32a30cba7466abb3f8a21a4f53403683d0e0817e60d69f070dcb4",
-    "verify decomposition --max-det 300": "82ebd86ecb454116619518eff8eaaeef0749cfe16d932a31eaf794f02488af3c",
+    "verify decomposition --max-det 300": "320844ba585d3cfb48558db99891bdc85e124e4541f7c0ce9829f57f19c96cad",
     "verify siegel --max-det 300": "1fab961f5c67e0bb2696ee61c237171ea6f545ddad0edf461ccc028824309dd8",
-    "verify decomposition --max-det 2000": "0973c75414ca812cd2a2758293bbe6a27169ff3cca7d09bab71a2b48c2e82346",
+    "verify decomposition --max-det 2000": "bd995241ea59b52ad3731a3202b0d290cd2aaf40d9fbaccf38cdbf44522e0756",
     "verify siegel --max-det 2000": "910fac037c6342f8e370e1b867c06e0a7912a314b7fd073901a16d906ebc307b",
     "euler --p 2 --unit 3 --which B --terms 12 --closed-form": (
         "1af7b564b8bdbbfac585ad480e37f1326803d6b177b21da6662c0219f5c435d1"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -242,19 +241,14 @@ def test_decomposition_sweep_with_random_constraints():
 
 
 def test_decomposition_holds_under_every_small_constraint():
-    """Every S <= 2000 under every sign vector on every 1- or 2-subset of
-    {2} u {p | S} u {3, 5}: the constrained branch seen exhaustively, where
-    `verify decomposition` draws 50 seeded instances."""
+    """The constrained branch seen exhaustively, on the walk that `verify
+    decomposition` checks: every S <= 2000 under every sign vector on every
+    1-, 2- or 3-subset of {2, 3, 5} u {p | S}."""
     cases = 0
-    for S in range(1, 2001):
-        pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
-        for k in (1, 2):
-            for primes in itertools.combinations(pool, k):
-                for signs in itertools.product((1, -1), repeat=k):
-                    cons = dict(zip(primes, signs))
-                    assert decomposition_check(S, cons)["equal"], (S, cons)
-                    cases += 1
-    assert cases == 71440
+    for S, cons in cli._constrained_cases(2000):
+        assert decomposition_check(S, cons)["equal"], (S, cons)
+        cases += 1
+    assert cases == 156848
 
 
 def _decomposition_reference(S, cons):
