@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .arith import LocalSquareClass, chi, factor, gamma_factor
+from .arith import LocalSquareClass, chi, factor, gamma_factor, valuation
 from .forms import QuadForm, mu_order, reduced_classes
 from .localgenus import LocalGenusSymbol, enumerate_local_genera, two_adic_symbol
 from .mass import density_product, density_ratio
@@ -88,8 +88,9 @@ def b_coeff(p: int, u: int, nu: int) -> Fraction:
 
 
 def closed_form(p: int, u: int, which: str, variant: str = "table") -> RationalFunction:
-    """Closed-form A/B Euler factor at p for the fixed unit class u, as a
-    rational function of X = q^(-s).
+    """Closed-form A/B Euler factor at a prime p for the fixed unit class of
+    the p-unit u, as a rational function of X = q^(-s); any other (p, u) is
+    refused, as `qfmass euler` refuses it.
 
     variant="table" reconstructs the series the enumeration actually sums
     (the authoritative one); variant="as-printed" returns the literal stated
@@ -99,6 +100,8 @@ def closed_form(p: int, u: int, which: str, variant: str = "table") -> RationalF
         raise ValueError("which must be 'A' or 'B'")
     if variant not in ("table", "as-printed"):
         raise ValueError("variant must be 'table' or 'as-printed'")
+    if valuation(u, p):  # which also refuses u = 0 and a p that is not prime
+        raise ValueError(f"u must be a unit at {p}, got {u}")
     x = chi(u, p)
     q = Fraction(p)
     if p != 2:
@@ -234,6 +237,8 @@ def genus_partition(S: int) -> tuple[GenusRecord, ...]:
     NamedTuple's argument parsing: the values and their types are those the
     constructor would give.
     """
+    if S <= 0:
+        raise ValueError("determinant must be positive")
     if S % 4 in (1, 2):
         return ()  # 4ac - b^2 is 0 or 3 mod 4: no form, so no scan or split
     split = _local_split(S)

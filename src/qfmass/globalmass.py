@@ -43,8 +43,6 @@ def genus_census(S: int) -> GenusReport:
     Every proper class of det S has w = mu_order(-S) proper automorphisms,
     so the total is one Fraction, the class count over 2w, read from the
     `genus_mass` memo that also gives each genus's mass."""
-    if S <= 0:
-        raise ValueError("determinant must be positive")
     genera = list(genus_partition(S))
     total = genus_mass(sum(len(g.classes) for g in genera), mu_order(-S))
     return GenusReport(det=S, genera=genera, total_mass=total)

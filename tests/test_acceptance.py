@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfmass import cli
 from qfmass.arith import (
     OO,
     QR,
@@ -118,19 +119,20 @@ def test_criterion_2_two_adic_table_fidelity(capsys):
 
 
 def test_criterion_3_decomposition_theorem():
-    """W(S) = (1/2)[prod A + C prod B] exactly for every S <= 2000 and for
-    50 random Hasse-constrained instances."""
+    """W(S) = (1/2)[prod A + C prod B] exactly for every S <= 2000, and under
+    every Hasse constraint of the walk that `verify decomposition` checks
+    (`cli._constrained_cases`): every S <= 2000 under every sign vector on
+    every 1-, 2- or 3-subset of {2, 3, 5} u {p | S}."""
     t0 = time.time()
     ok = all(decomposition_check(S)["equal"] for S in range(1, 2001))
-    rng = random.Random(20237)
-    for _ in range(50):
-        S = rng.randint(1, 2000)
-        pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5})
-        primes = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-        cons = {p: rng.choice((1, -1)) for p in primes}
-        ok = ok and decomposition_check(S, cons)["equal"]
+    cases, first_fail = 0, ""
+    for S, cons in cli._constrained_cases(2000):
+        cases += 1
+        if not first_fail and not decomposition_check(S, cons)["equal"]:
+            first_fail = f"; first fails at S={S} {cons}"
     elapsed = time.time() - t0
-    _report(3, ok and elapsed < 120.0, f"decomposition exact on S<=2000 + 50 constrained, {elapsed:.1f}s")
+    ok = ok and not first_fail and elapsed < 120.0
+    _report(3, ok, f"decomposition exact on S<=2000 + {cases} constrained, {elapsed:.1f}s{first_fail}")
 
 
 def test_criterion_4_siegel_ratio_identity():

@@ -223,10 +223,10 @@ def test_constrained_cases_walk_every_sign_vector_once():
     """The constraint walk is fixed, stops at CONSTRAINED_MAX_DET and gives
     each (S, primes) on {2, 3, 5} u {p | S} all of its sign vectors."""
     assert len(list(cli._constrained_cases(1))) == 6 + 12 + 8
-    walks = itertools.zip_longest(*map(cli._constrained_cases, (2000, 2000, 5000)))
-    assert all(x == y == z for x, y, z in walks)
+    walk = list(cli._constrained_cases(2000))
+    assert all(x == y for x, y in itertools.zip_longest(walk, cli._constrained_cases(5000)))
     signs: dict[tuple[int, tuple[int, ...]], set[tuple[int, ...]]] = {}
-    for S, cons in cli._constrained_cases(2000):
+    for S, cons in walk:
         assert set(cons) <= {2, 3, 5} | {p for p, _ in factor(S)}, (S, cons)
         signs.setdefault((S, tuple(cons)), set()).add(tuple(cons.values()))
     assert sum(map(len, signs.values())) == 156848

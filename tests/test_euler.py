@@ -191,6 +191,12 @@ def test_closed_form_argument_validation():
         closed_form(3, 1, "C")
     with pytest.raises(ValueError):
         closed_form(3, 1, "A", "other")
+    # p must be prime and u a unit at p, as `qfmass euler` requires
+    for p, u in ((4, 1), (1, 1), (0, 1), (-3, 1), (3, 3), (2, 2)):
+        with pytest.raises(ValueError):
+            closed_form(p, u, "A")
+    with pytest.raises(ValueError):
+        closed_form_report(3, 3, "A", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +229,13 @@ def test_decomposition_with_constraints():
     assert res["equal"] and res["lhs"] == 0
     res = decomposition_check(3, {5: 1})
     assert res["equal"] and res["lhs"] == Fraction(2, 9)
+    res = decomposition_check(3, {7: -1})
+    assert res["equal"] and res["lhs"] == 0
+    res = decomposition_check(3, {7: 1})
+    assert res["equal"] and res["lhs"] == Fraction(2, 9)
     for eps in (0, 2):
         with pytest.raises(ValueError):
             decomposition_check(3, {5: eps})
-
-
-def test_decomposition_sweep_with_random_constraints():
-    rng = random.Random(101)
-    for S in range(1, 201):
-        assert decomposition_check(S)["equal"], S
-    for _ in range(50):
-        S = rng.randint(1, 300)
-        pool = sorted({2} | {p for p, _ in factor(S)} | {3, 5, 7})
-        primes = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-        cons = {p: rng.choice((1, -1)) for p in primes}
-        assert decomposition_check(S, cons)["equal"], (S, cons)
-
-
-def test_decomposition_holds_under_every_small_constraint():
-    """The constrained branch seen exhaustively, on the walk that `verify
-    decomposition` checks: every S <= 2000 under every sign vector on every
-    1-, 2- or 3-subset of {2, 3, 5} u {p | S}."""
-    cases = 0
-    for S, cons in cli._constrained_cases(2000):
-        assert decomposition_check(S, cons)["equal"], (S, cons)
-        cases += 1
-    assert cases == 156848
 
 
 def _decomposition_reference(S, cons):
@@ -351,6 +338,15 @@ def test_genus_partition_labels_consistent():
             for sym in rec.symbols.values():
                 prod *= sym.label
             assert prod == (-1 if S % 2 else 1)
+
+
+@pytest.mark.parametrize("S", range(0, -9, -1))
+def test_census_refuses_a_determinant_below_1(S):
+    """S <= 0 is refused whatever S mod 4 is, before the shortcut that
+    returns no genus for S = 1, 2 (mod 4)."""
+    for check in (genus_partition, genus_census, decomposition_check):
+        with pytest.raises(ValueError):
+            check(S)
 
 
 def test_genus_partition_builds_once_per_determinant():
